@@ -43,9 +43,11 @@ func encodeAssignments(as []Assignment) []byte {
 	return out
 }
 
-// FuzzScheduleValidate asserts the §3 feasibility checker's two safety
-// properties on arbitrary schedules: Validate never panics, and it
-// never accepts a schedule that violates the memory-capacity rule — an
+// FuzzScheduleValidate asserts the §3 feasibility checker's safety
+// properties on arbitrary schedules: Validate never panics, it returns
+// exactly the pairwise reference's error (reference_test.go) and
+// PeakMemory exactly its bits, and it never accepts a schedule that
+// violates the memory-capacity rule — an
 // accepted schedule's resident memory, recomputed independently at
 // every communication start, stays within capacity. It also pins the
 // invariants an accepted schedule implies (finite times, per-assignment
@@ -78,6 +80,13 @@ func FuzzScheduleValidate(f *testing.F) {
 			s.Append(a)
 		}
 		err := s.Validate() // must never panic
+		if want := referenceValidate(s); errText(err) != errText(want) {
+			t.Fatalf("Validate %s (%v), reference %s (%v)\n%s",
+				faultClass(err), err, faultClass(want), want, s)
+		}
+		if got, want := s.PeakMemory(), referencePeakMemory(s); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("PeakMemory %v, reference %v\n%s", got, want, s)
+		}
 		if err != nil {
 			return
 		}

@@ -110,12 +110,27 @@ func (s *Schedule) sortedBy(key func(Assignment) float64) []int {
 
 // PeakMemory returns the maximum total memory simultaneously resident.
 // Memory usage only increases at communication starts, so the peak is
-// attained at one of them.
+// attained at one of them. One event sweep (residentAtStarts) estimates
+// the resident memory at every start; only the starts whose estimate
+// lies within twice the sweep's error bound of the largest estimate are
+// recounted with MemoryInUseAt, so the result is bit-identical to the
+// maximum of MemoryInUseAt over all starts.
 func (s *Schedule) PeakMemory() float64 {
+	use, bound, ok := s.residentAtStarts()
+	floor := math.Inf(-1)
+	if ok {
+		for _, u := range use {
+			floor = math.Max(floor, u)
+		}
+		floor -= 2 * bound
+	}
 	peak := 0.0
-	for _, a := range s.Assignments {
-		if use := s.MemoryInUseAt(a.CommStart); use > peak {
-			peak = use
+	for i, a := range s.Assignments {
+		if ok && use[i] < floor {
+			continue
+		}
+		if v := s.MemoryInUseAt(a.CommStart); v > peak {
+			peak = v
 		}
 	}
 	return peak
@@ -147,29 +162,77 @@ const tolerance = 1e-9
 //   - at the start of every communication the memory constraint holds
 //     (usage only increases at communication starts, so checking there is
 //     sufficient — paper Thm 2's membership-in-NP argument).
+//
+// A feasible schedule is proven feasible in O(n log n) by the event
+// sweep (sweep.go). Once the sweep finds or suspects a fault, the
+// slice-order pairwise scan (firstFault) and an exact MemoryInUseAt
+// recount decide, so the verdict and the error — the fault and the pair
+// it names — are exactly those of a full pairwise check, even on a
+// schedule with several faults.
 func (s *Schedule) Validate() error {
 	if math.IsNaN(s.Capacity) {
 		return fmt.Errorf("core: schedule capacity is NaN")
 	}
-	for i, a := range s.Assignments {
-		if err := a.Task.Validate(); err != nil {
+	for _, a := range s.Assignments {
+		if a.check() != nil {
+			return s.firstFault()
+		}
+	}
+	spans := make([]span, 0, len(s.Assignments))
+	if s.clashSuspected(spans, linkInterval) || s.clashSuspected(spans, unitInterval) {
+		if err := s.firstFault(); err != nil {
 			return err
 		}
-		// A NaN or infinite start time would sail through every
-		// comparison below (all NaN comparisons are false), so an
-		// infeasible schedule could validate; reject outright.
-		if math.IsNaN(a.CommStart) || math.IsInf(a.CommStart, 0) {
-			return fmt.Errorf("core: task %q has non-finite communication start %g", a.Task.Name, a.CommStart)
+	}
+	use, bound, ok := s.residentAtStarts()
+	limit := s.Capacity + tolerance
+	for i, a := range s.Assignments {
+		if ok && use[i] < limit-bound {
+			continue // provably within capacity
 		}
-		if math.IsNaN(a.CompStart) || math.IsInf(a.CompStart, 0) {
-			return fmt.Errorf("core: task %q has non-finite computation start %g", a.Task.Name, a.CompStart)
+		if exact := s.MemoryInUseAt(a.CommStart); exact > limit {
+			return fmt.Errorf("core: memory %g exceeds capacity %g at t=%g (start of %q)",
+				exact, s.Capacity, a.CommStart, a.Task.Name)
 		}
-		if a.CommStart < -tolerance {
-			return fmt.Errorf("core: task %q communication starts at negative time %g", a.Task.Name, a.CommStart)
-		}
-		if a.CompStart < a.CommEnd()-tolerance {
-			return fmt.Errorf("core: task %q computes at %g before its transfer completes at %g",
-				a.Task.Name, a.CompStart, a.CommEnd())
+	}
+	return nil
+}
+
+// check applies the per-assignment rules: a valid task, finite
+// non-negative start times, and a computation that starts no earlier
+// than its transfer completes.
+func (a Assignment) check() error {
+	if err := a.Task.Validate(); err != nil {
+		return err
+	}
+	// A NaN or infinite start time would sail through every comparison
+	// (all NaN comparisons are false), so an infeasible schedule could
+	// validate; reject outright.
+	if math.IsNaN(a.CommStart) || math.IsInf(a.CommStart, 0) {
+		return fmt.Errorf("core: task %q has non-finite communication start %g", a.Task.Name, a.CommStart)
+	}
+	if math.IsNaN(a.CompStart) || math.IsInf(a.CompStart, 0) {
+		return fmt.Errorf("core: task %q has non-finite computation start %g", a.Task.Name, a.CompStart)
+	}
+	if a.CommStart < -tolerance {
+		return fmt.Errorf("core: task %q communication starts at negative time %g", a.Task.Name, a.CommStart)
+	}
+	if a.CompStart < a.CommEnd()-tolerance {
+		return fmt.Errorf("core: task %q computes at %g before its transfer completes at %g",
+			a.Task.Name, a.CompStart, a.CommEnd())
+	}
+	return nil
+}
+
+// firstFault scans the assignments in slice order, checking each one's
+// own rules and then its overlap with every later assignment on both
+// resources, and returns the first fault found (nil if none). It is
+// O(n²), so Validate runs it only after the sweep has found or suspected
+// a fault.
+func (s *Schedule) firstFault() error {
+	for i, a := range s.Assignments {
+		if err := a.check(); err != nil {
+			return err
 		}
 		for j := i + 1; j < len(s.Assignments); j++ {
 			b := s.Assignments[j]
@@ -181,12 +244,6 @@ func (s *Schedule) Validate() error {
 				return fmt.Errorf("core: computations of %q [%g,%g) and %q [%g,%g) overlap on the processing unit",
 					a.Task.Name, a.CompStart, a.CompEnd(), b.Task.Name, b.CompStart, b.CompEnd())
 			}
-		}
-	}
-	for _, a := range s.Assignments {
-		if use := s.MemoryInUseAt(a.CommStart); use > s.Capacity+tolerance {
-			return fmt.Errorf("core: memory %g exceeds capacity %g at t=%g (start of %q)",
-				use, s.Capacity, a.CommStart, a.Task.Name)
 		}
 	}
 	return nil
@@ -271,19 +328,19 @@ func (s *Schedule) Overlap() float64 {
 // end time, sorted ascending — the instants at which resource or memory
 // state can change (Gantt tick marks, memory counter samples).
 func (s *Schedule) EventTimes() []float64 {
-	set := map[float64]struct{}{}
+	out := make([]float64, 0, 4*len(s.Assignments))
 	for _, a := range s.Assignments {
-		set[a.CommStart] = struct{}{}
-		set[a.CommEnd()] = struct{}{}
-		set[a.CompStart] = struct{}{}
-		set[a.CompEnd()] = struct{}{}
-	}
-	out := make([]float64, 0, len(set))
-	for t := range set {
-		out = append(out, t) //transched:allow-maporder sorted on the next line
+		out = append(out, a.CommStart, a.CommEnd(), a.CompStart, a.CompEnd())
 	}
 	sort.Float64s(out)
-	return out
+	k := 0
+	for _, t := range out {
+		if k == 0 || t != out[k-1] {
+			out[k] = t
+			k++
+		}
+	}
+	return out[:k]
 }
 
 // String renders a compact textual listing of the schedule.

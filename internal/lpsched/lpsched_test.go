@@ -6,11 +6,14 @@ import (
 	"testing"
 	"time"
 
+	"transched/internal/chem"
+	"transched/internal/cluster"
 	"transched/internal/core"
 	"transched/internal/flowshop"
 	"transched/internal/milp"
 	"transched/internal/paperdata"
 	"transched/internal/testutil"
+	"transched/internal/trace"
 )
 
 // TestExactTable2 solves the paper's Prop 1 instance to optimality: the
@@ -325,6 +328,32 @@ func TestWindowedBoundaryCommitment(t *testing.T) {
 		if nameWindow[order[i]] < nameWindow[order[i-1]] {
 			t.Fatalf("transfer %s (window %d) after %s (window %d)",
 				order[i], nameWindow[order[i]], order[i-1], nameWindow[order[i-1]])
+		}
+	}
+}
+
+// TestSolveExactNodeCapIsNotInfeasible: the first 6 tasks of paper-seed
+// CCSD trace 0 at 1 mc are feasible (any C >= mc admits the sequential
+// schedule), but a small node cap stops the search before any
+// incumbent. That stop proves nothing, so the status must be Expired,
+// never Infeasible.
+func TestSolveExactNodeCapIsNotInfeasible(t *testing.T) {
+	trs, err := chem.Generate("CCSD", cluster.Cascade(), chem.Config{Seed: 20190415, Processes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := trs[0].Tasks[:6]
+	in := core.NewInstance(tasks, (&trace.Trace{Tasks: tasks}).MinCapacity())
+	_, sol, err := SolveExact(in, 3)
+	if sol == nil {
+		t.Fatalf("no solution: %v", err)
+	}
+	switch sol.Status {
+	case milp.Infeasible:
+		t.Fatalf("node-capped search on a feasible instance reported infeasible after %d nodes", sol.Nodes)
+	case milp.Expired:
+		if err == nil {
+			t.Fatal("expired exact solve returned no error")
 		}
 	}
 }

@@ -155,7 +155,7 @@ func Solve(in *core.Instance, opts Options) (*Result, error) {
 			// Nothing beat the greedy incumbent; keep the fallback values.
 			res.Fallbacks++
 		case milp.Expired:
-			// Deadline or context fired before any incumbent; the greedy
+			// A budget ran out before any incumbent; the greedy
 			// completion stands in and the window's bound dates the gap.
 			res.Fallbacks++
 		default:

@@ -102,9 +102,9 @@ const (
 	Infeasible
 	// Unbounded: the relaxation is unbounded.
 	Unbounded
-	// Expired: the deadline or context fired before any incumbent was
-	// found; only Bound (and Objective, when an incumbent was seeded) is
-	// meaningful.
+	// Expired: a budget (the deadline, the context or the node cap) ran
+	// out before any incumbent; only Bound (and Objective, when an
+	// incumbent was seeded) is meaningful. Nothing is proven infeasible.
 	Expired
 )
 
@@ -449,7 +449,10 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 	}
 
 	switch {
-	case bestX == nil && expiredOut:
+	case bestX == nil && (expiredOut || (!opts.IncumbentSet && queue.Len() > 0)):
+		// A budget ran out before any incumbent. A node-cap stop with
+		// frontier nodes left proves nothing, so it is Expired too,
+		// never Infeasible.
 		out := &Solution{Status: Expired, Nodes: nodes, Bound: provenBound, SimplexIters: iters, RootBasis: rootBasis}
 		if opts.IncumbentSet {
 			out.Objective = best

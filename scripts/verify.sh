@@ -85,6 +85,12 @@ go test -race -shuffle=on -count=1 \
     -run 'WarmStart|Resolve|MILPDifferential|MILPWorkersDeterminism|WindowedWorkersDeterminism' \
     ./internal/lp/ ./internal/milp/ ./internal/lpsched/
 
+# The event-sweep feasibility checker's differential suite (verdict,
+# error and PeakMemory bits vs the preserved pairwise reference,
+# reference_test.go) gets the same focused treatment.
+go test -race -shuffle=on -count=2 -run 'Differential|FuzzScheduleValidate' \
+    ./internal/core/
+
 # Request tracing can never alter what the serving tier returns: the
 # traced-vs-untraced byte-identity tests get a second, focused run
 # (tracing off must also mean zero clock reads — the same no-op

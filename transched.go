@@ -167,7 +167,11 @@ func SolveMILP(in *Instance, opts MILPOptions) (*MILPResult, error) {
 }
 
 // SolveMILPExact solves the paper's full MILP over the whole instance
-// (practical only for small instances); the returned schedule is exact.
+// (practical only for small instances). maxNodes caps the branch and
+// bound (0 means 500,000 nodes). The schedule is exact only when the
+// search proves it optimal; a search the cap stops returns its best
+// incumbent, and one stopped before any incumbent returns an error
+// with status expired, never a claim of infeasibility.
 func SolveMILPExact(in *Instance, maxNodes int) (*Schedule, error) {
 	s, _, err := lpsched.SolveExact(in, maxNodes)
 	return s, err
