@@ -10,8 +10,8 @@ import (
 	"transched/internal/heuristics"
 )
 
-// TestValidateDifferentialChemTraces pins the sweep Validate and
-// PeakMemory to the pairwise reference on the schedules the paper's
+// TestValidateDifferentialChemTraces pins the sweep Validate, PeakMemory
+// and Overlap to the pairwise reference on the schedules the paper's
 // evaluation produces: every heuristic on ten paper-seed HF and CCSD
 // traces each (300–800 tasks, non-integer byte memories). The capacity
 // rotates through 1, 1.5 and 2 mc across traces and heuristics, so every
@@ -41,6 +41,9 @@ func TestValidateDifferentialChemTraces(t *testing.T) {
 				s, err := h.Run(in)
 				if err != nil {
 					t.Fatalf("%s trace %d %s at %g mc: %v", app, ti, name, f, err)
+				}
+				if got, want := s.Overlap(), core.ReferenceOverlap(s); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s trace %d %s at %g mc: Overlap %v, reference %v", app, ti, name, f, got, want)
 				}
 				peak := s.PeakMemory()
 				if want := core.ReferencePeakMemory(s); math.Float64bits(peak) != math.Float64bits(want) {

@@ -148,6 +148,57 @@ func TestValidateDifferentialRandom(t *testing.T) {
 	}
 }
 
+// TestOverlapDifferentialRandom pins the merged Overlap to the pairwise
+// reference, bit for bit, on every random schedule that passes Validate:
+// integer-grid layouts with sub-tolerance jitter (so intervals of one
+// resource may overlap by less than the tolerance), the same layouts at
+// non-integer times and with the assignments shuffled out of time order
+// (so the merge meets the pair terms in another order than the sum), and
+// near-fault mutations that still validate.
+func TestOverlapDifferentialRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	checked := 0
+	for trial := 0; trial < 1500; trial++ {
+		n := 1 + rng.Intn(24)
+		if trial%100 == 0 {
+			n = 300
+		}
+		s := randomSchedule(rng, n)
+		s.Capacity = math.Inf(1)
+		scaled := scaleTimes(s, 0.1)
+		shuffled := &Schedule{Capacity: scaled.Capacity, Assignments: append([]Assignment(nil), scaled.Assignments...)}
+		rng.Shuffle(n, func(i, j int) {
+			shuffled.Assignments[i], shuffled.Assignments[j] = shuffled.Assignments[j], shuffled.Assignments[i]
+		})
+		for _, c := range []*Schedule{s, scaled, shuffled, mutate(rng, s), mutate(rng, s)} {
+			if c.Validate() != nil {
+				continue
+			}
+			checked++
+			if got, want := c.Overlap(), referenceOverlap(c); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d: Overlap %v, reference %v\n%s", trial, got, want, c)
+			}
+		}
+	}
+	if checked < 4500 {
+		t.Fatalf("only %d schedules passed Validate", checked)
+	}
+}
+
+// scaleTimes returns a copy of s with every duration and start time
+// multiplied by f.
+func scaleTimes(s *Schedule, f float64) *Schedule {
+	c := &Schedule{Capacity: s.Capacity}
+	for _, a := range s.Assignments {
+		a.Task.Comm *= f
+		a.Task.Comp *= f
+		a.CommStart *= f
+		a.CompStart *= f
+		c.Append(a)
+	}
+	return c
+}
+
 // TestValidateDifferentialEdges covers the hand-picked edges by name.
 func TestValidateDifferentialEdges(t *testing.T) {
 	mk := func(capacity float64, as ...Assignment) *Schedule {

@@ -1,11 +1,12 @@
 package core
 
 // This file preserves the pre-sweep feasibility checker — the pairwise
-// overlap scan and the O(n²) resident-memory rescan — verbatim as a
-// reference implementation. differential_test.go asserts that the
-// event-sweep Validate returns the same verdict (and the same error) and
-// that the sweep PeakMemory returns the same bits. When changing the
-// feasibility rules (not their speed), change BOTH.
+// overlap scan and the O(n²) resident-memory rescan — and the pairwise
+// busy-overlap sum verbatim as reference implementations.
+// differential_test.go asserts that the event-sweep Validate returns the
+// same verdict (and the same error), and that the sweep PeakMemory and
+// the merged Overlap return the same bits. When changing the feasibility
+// rules or the overlap definition (not their speed), change BOTH.
 
 import (
 	"fmt"
@@ -16,6 +17,7 @@ import (
 var (
 	ReferenceValidate   = referenceValidate
 	ReferencePeakMemory = referencePeakMemory
+	ReferenceOverlap    = referenceOverlap
 )
 
 // referencePeakMemory returns the maximum total memory simultaneously
@@ -83,4 +85,30 @@ func referenceValidate(s *Schedule) error {
 		}
 	}
 	return nil
+}
+
+// referenceOverlap returns the total time during which the link and the
+// processing unit are simultaneously busy — the communication-computation
+// overlap the heuristics try to maximise.
+func referenceOverlap(s *Schedule) float64 {
+	type iv struct{ a, b float64 }
+	var comm, comp []iv
+	for _, a := range s.Assignments {
+		if a.Task.Comm > 0 {
+			comm = append(comm, iv{a.CommStart, a.CommEnd()})
+		}
+		if a.Task.Comp > 0 {
+			comp = append(comp, iv{a.CompStart, a.CompEnd()})
+		}
+	}
+	total := 0.0
+	for _, x := range comm {
+		for _, y := range comp {
+			lo, hi := math.Max(x.a, y.a), math.Min(x.b, y.b)
+			if hi > lo {
+				total += hi - lo
+			}
+		}
+	}
+	return total
 }

@@ -300,26 +300,61 @@ func (s *Schedule) IdleComp() float64 {
 
 // Overlap returns the total time during which the link and the processing
 // unit are simultaneously busy — the communication-computation overlap the
-// heuristics try to maximise.
+// heuristics try to maximise. The transfer and computation intervals are
+// each sorted by start and merged with two pointers, which visits each
+// intersecting pair once: O(n log n) on a feasible schedule, where the
+// intervals of one resource do not overlap. The pair terms are then added
+// in the pairwise reference's order (transfers in slice order, then
+// computations in slice order), so the sum is bit-identical to it
+// (reference_test.go).
 func (s *Schedule) Overlap() float64 {
-	type iv struct{ a, b float64 }
+	type iv struct {
+		a, b float64
+		k    int // position among the resource's intervals in slice order
+	}
 	var comm, comp []iv
 	for _, a := range s.Assignments {
 		if a.Task.Comm > 0 {
-			comm = append(comm, iv{a.CommStart, a.CommEnd()})
+			comm = append(comm, iv{a.CommStart, a.CommEnd(), len(comm)})
 		}
 		if a.Task.Comp > 0 {
-			comp = append(comp, iv{a.CompStart, a.CompEnd()})
+			comp = append(comp, iv{a.CompStart, a.CompEnd(), len(comp)})
 		}
 	}
-	total := 0.0
+	for _, v := range [][]iv{comm, comp} {
+		sort.Slice(v, func(i, j int) bool { return v[i].a < v[j].a })
+	}
+	type term struct {
+		x, y int
+		d    float64
+	}
+	var terms []term
+	first := 0 // computations before it end by the current transfer's start
 	for _, x := range comm {
-		for _, y := range comp {
+		for first < len(comp) && comp[first].b <= x.a {
+			first++
+		}
+		// Starts are sorted, so no computation from the first one that
+		// starts at or after x's end can meet x.
+		for _, y := range comp[first:] {
+			if y.a >= x.b {
+				break
+			}
 			lo, hi := math.Max(x.a, y.a), math.Min(x.b, y.b)
 			if hi > lo {
-				total += hi - lo
+				terms = append(terms, term{x.k, y.k, hi - lo})
 			}
 		}
+	}
+	sort.Slice(terms, func(i, j int) bool {
+		if terms[i].x != terms[j].x {
+			return terms[i].x < terms[j].x
+		}
+		return terms[i].y < terms[j].y
+	})
+	total := 0.0
+	for _, t := range terms {
+		total += t.d
 	}
 	return total
 }

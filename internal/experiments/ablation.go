@@ -9,6 +9,7 @@ import (
 	"transched/internal/core"
 	"transched/internal/flowshop"
 	"transched/internal/lpsched"
+	"transched/internal/par"
 	"transched/internal/simulate"
 	"transched/internal/testutil"
 )
@@ -41,7 +42,7 @@ func Ablations(w io.Writer, cfg Config) ([]AblationRow, error) {
 	meanRatio := func(run func(in *core.Instance) (*core.Schedule, error)) (float64, time.Duration, error) {
 		ratios := make([]float64, len(instances))
 		start := time.Now() //transched:allow-clock wall-time column of the ablation table; quality columns are clock-free
-		err := forEachIndex(cfg.Workers, len(instances), func(i int) error {
+		err := par.ForEachIndexErr(cfg.Workers, len(instances), func(_, i int) error {
 			s, err := run(instances[i])
 			if err != nil {
 				return err

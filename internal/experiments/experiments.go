@@ -11,6 +11,8 @@ import (
 	"io"
 	"math"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"transched/internal/chem"
@@ -19,6 +21,8 @@ import (
 	"transched/internal/flowshop"
 	"transched/internal/heuristics"
 	"transched/internal/obs"
+	"transched/internal/par"
+	"transched/internal/simulate"
 	"transched/internal/stats"
 	"transched/internal/trace"
 )
@@ -127,65 +131,15 @@ type SweepOptions struct {
 // The sweep fans the independent (trace, multiplier) cells out on
 // opts.Workers goroutines; every result is written to a preallocated,
 // index-addressed slot, so the output is bit-identical at every worker
-// count and the first failing cell cancels the remaining work.
+// count and the first failing cell cancels the remaining work. Each
+// heuristic's capacity-free work is planned once per trace and shared by
+// the trace's nine cells (tracePlans).
 func RunSweep(app string, traces []*trace.Trace, multipliers []float64, opts SweepOptions) (*Sweep, error) {
-	names := opts.Heuristics
-	if len(names) == 0 {
-		names = heuristics.Names()
+	sc, err := newSweepCells(app, traces, multipliers, opts.Heuristics)
+	if err != nil {
+		return nil, err
 	}
-
-	// Resolve names, categories and registry positions once, before any
-	// scheduling: an unknown name fails fast here instead of surfacing
-	// len(traces)×len(multipliers) cells into the sweep.
-	position := make(map[string]int, len(names))
-	for i, n := range heuristics.Names() {
-		position[n] = i
-	}
-	hIdx := make([]int, len(names))
-	cats := make([]heuristics.Category, len(names))
-	for h, name := range names {
-		heur, err := heuristics.ByName(name, 1)
-		if err != nil {
-			return nil, err
-		}
-		hIdx[h] = position[name]
-		cats[h] = heur.Category
-	}
-
-	// Per-trace pre-pass: mc and OMIM are capacity-independent, so they
-	// are computed once per trace instead of once per cell, and the mean
-	// capacity is a single deterministic sum-then-divide rather than a
-	// running mean whose rounding would depend on iteration order.
-	mcs := make([]float64, len(traces))
-	omims := make([]float64, len(traces))
-	sumMC := 0.0
-	for t, tr := range traces {
-		mcs[t] = tr.MinCapacity()
-		omims[t] = flowshop.OMIM(tr.Tasks)
-		if omims[t] <= 0 {
-			return nil, fmt.Errorf("experiments: trace %s/%d has zero OMIM", tr.App, tr.Process)
-		}
-		sumMC += mcs[t]
-	}
-	meanMC := sumMC / float64(len(traces))
-
-	sw := &Sweep{
-		App:          app,
-		Heuristics:   names,
-		Multipliers:  multipliers,
-		MeanCapacity: make([]float64, len(multipliers)),
-		Ratios:       make([][][]float64, len(names)),
-		Categories:   cats,
-	}
-	for m, mult := range multipliers {
-		sw.MeanCapacity[m] = meanMC * mult
-	}
-	for h := range names {
-		sw.Ratios[h] = make([][]float64, len(multipliers))
-		for m := range multipliers {
-			sw.Ratios[h][m] = make([]float64, len(traces))
-		}
-	}
+	sw, names := sc.sw, sc.sw.Heuristics
 
 	// Optional telemetry. The tracer's slots are preallocated and
 	// index-addressed exactly like the result slots, so recording obeys
@@ -208,11 +162,11 @@ func RunSweep(app string, traces []*trace.Trace, multipliers []float64, opts Swe
 	}
 	instrumented := cellTracer.Enabled() || opts.Metrics != nil
 
-	// One work unit per (trace, multiplier) cell: the unit builds the
-	// instance and the capacity-bound heuristic registry once, runs all
-	// heuristics on it, and writes only the slots indexed by its own
-	// (m, t) pair.
-	err := forEachIndexW(opts.Workers, len(traces)*nm, func(worker, u int) error {
+	// One work unit per (trace, multiplier) cell: the unit runs every
+	// heuristic's plan for its trace at its capacity and writes only the
+	// slots indexed by its own (m, t) pair.
+	plans := newTracePlans(len(traces), nm)
+	err = par.ForEachIndexErr(opts.Workers, len(traces)*nm, func(worker, u int) error {
 		t, m := u/nm, u%nm
 		tr := traces[t]
 		mult := multipliers[m]
@@ -220,24 +174,16 @@ func RunSweep(app string, traces []*trace.Trace, multipliers []float64, opts Swe
 		if instrumented {
 			begin = time.Now() //transched:allow-clock span timestamp for telemetry; never feeds Ratios
 		}
-		capacity := mcs[t] * mult
-		in := tr.Instance(capacity)
-		all := heuristics.All(capacity)
-		for h := range names {
-			heur := all[hIdx[h]]
-			var s *core.Schedule
-			var err error
-			if opts.BatchSize > 0 {
-				s, err = heur.RunBatches(in, opts.BatchSize)
-			} else {
-				s, err = heur.Run(in)
-			}
+		capacity := sc.mcs[t] * mult
+		for h, plan := range plans[t].get(tr.Tasks, opts.BatchSize, sc.pols) {
+			span, err := plan.Makespan(capacity)
 			if err != nil {
 				return fmt.Errorf("experiments: %s on %s/%d at %gx: %w",
 					names[h], tr.App, tr.Process, mult, err)
 			}
-			sw.Ratios[h][m][t] = s.Makespan() / omims[t]
+			sw.Ratios[h][m][t] = span / sc.omims[t]
 		}
+		plans[t].done()
 		if instrumented {
 			end := time.Now() //transched:allow-clock span timestamp for telemetry; never feeds Ratios
 			traceName := fmt.Sprintf("%s/%d", tr.App, tr.Process)
@@ -265,6 +211,106 @@ func RunSweep(app string, traces []*trace.Trace, multipliers []float64, opts Swe
 		cellTracer.AppendTo(opts.Trace, opts.Trace.NextPID())
 	}
 	return sw, nil
+}
+
+// sweepCells is what both sweep drivers resolve before their first
+// cell: the preallocated result, the selected heuristics' policies, and
+// each trace's mc and OMIM.
+type sweepCells struct {
+	sw         *Sweep
+	pols       []simulate.Policy
+	mcs, omims []float64
+}
+
+// newSweepCells resolves the selected heuristics (nil means all fourteen
+// in figure order) before any scheduling, so an unknown name fails fast
+// instead of surfacing len(traces)×len(multipliers) cells into the
+// sweep. mc and OMIM are capacity-independent, so they are computed once
+// per trace, and the mean capacity is a single deterministic
+// sum-then-divide rather than a running mean whose rounding would depend
+// on iteration order.
+func newSweepCells(app string, traces []*trace.Trace, multipliers []float64, selected []string) (*sweepCells, error) {
+	names := selected
+	if len(names) == 0 {
+		names = heuristics.Names()
+	}
+	sc := &sweepCells{
+		sw: &Sweep{
+			App:          app,
+			Heuristics:   names,
+			Multipliers:  multipliers,
+			MeanCapacity: make([]float64, len(multipliers)),
+			Ratios:       make([][][]float64, len(names)),
+			Categories:   make([]heuristics.Category, len(names)),
+		},
+		pols:  make([]simulate.Policy, len(names)),
+		mcs:   make([]float64, len(traces)),
+		omims: make([]float64, len(traces)),
+	}
+	for h, name := range names {
+		heur, err := heuristics.ByName(name, 1)
+		if err != nil {
+			return nil, err
+		}
+		sc.sw.Categories[h], sc.pols[h] = heur.Category, heur.Policy
+	}
+	sumMC := 0.0
+	for t, tr := range traces {
+		sc.mcs[t] = tr.MinCapacity()
+		sc.omims[t] = flowshop.OMIM(tr.Tasks)
+		if sc.omims[t] <= 0 {
+			return nil, fmt.Errorf("experiments: trace %s/%d has zero OMIM", tr.App, tr.Process)
+		}
+		sumMC += sc.mcs[t]
+	}
+	meanMC := sumMC / float64(len(traces))
+	for m, mult := range multipliers {
+		sc.sw.MeanCapacity[m] = meanMC * mult
+	}
+	for h := range names {
+		sc.sw.Ratios[h] = make([][]float64, len(multipliers))
+		for m := range multipliers {
+			sc.sw.Ratios[h][m] = make([]float64, len(traces))
+		}
+	}
+	return sc, nil
+}
+
+// tracePlans holds one trace's capacity-free plans, one per heuristic.
+// The first of the trace's cells to run builds them, so its span covers
+// that work; the trace's other cells wait for them and share them
+// read-only; the last cell to finish drops them, so a sweep holds only
+// the plans of the traces in flight.
+type tracePlans struct {
+	once  sync.Once
+	plans []*simulate.Plan
+	left  atomic.Int32 // cells of the trace still to finish
+}
+
+func newTracePlans(traces, cellsPerTrace int) []tracePlans {
+	tps := make([]tracePlans, traces)
+	for t := range tps {
+		tps[t].left.Store(int32(cellsPerTrace))
+	}
+	return tps
+}
+
+// get returns the trace's plans, building them on first use.
+func (tp *tracePlans) get(tasks []core.Task, batchSize int, pols []simulate.Policy) []*simulate.Plan {
+	tp.once.Do(func() {
+		tp.plans = make([]*simulate.Plan, len(pols))
+		for h, p := range pols {
+			tp.plans[h] = simulate.NewPlan(tasks, batchSize, p)
+		}
+	})
+	return tp.plans
+}
+
+// done marks one of the trace's cells finished with the plans.
+func (tp *tracePlans) done() {
+	if tp.left.Add(-1) == 0 {
+		tp.plans = nil
+	}
 }
 
 // SummaryFor returns the five-number summary for one heuristic at one
@@ -353,8 +399,8 @@ func ComputeCharacteristics(app string, traces []*trace.Trace, workers int) Char
 		MaxSums: make([]float64, len(traces)),
 		Sum:     make([]float64, len(traces)),
 	}
-	// The per-trace body cannot fail, so forEachIndex cannot either.
-	_ = forEachIndex(workers, len(traces), func(t int) error {
+	// The per-trace body cannot fail, so the pool cannot either.
+	_ = par.ForEachIndexErr(workers, len(traces), func(_, t int) error {
 		in := traces[t].Instance(math.Inf(1))
 		omim := flowshop.OMIM(in.Tasks)
 		ch.SumComm[t] = in.SumComm() / omim

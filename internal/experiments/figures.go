@@ -7,6 +7,7 @@ import (
 	"transched/internal/flowshop"
 	"transched/internal/heuristics"
 	"transched/internal/lpsched"
+	"transched/internal/par"
 	"transched/internal/stats"
 	"transched/internal/trace"
 )
@@ -54,7 +55,7 @@ func Fig7(w io.Writer, cfg Config, milpNodes int) error {
 		}
 	}
 	nh := len(heuristics.Names())
-	err = forEachIndex(cfg.Workers, len(mults), func(m int) error {
+	err = par.ForEachIndexErr(cfg.Workers, len(mults), func(_, m int) error {
 		capacity := mc * mults[m]
 		in := tr.Instance(capacity)
 		for col, h := range heuristics.All(capacity) {
@@ -209,7 +210,7 @@ type Table6Row struct {
 func Table6(w io.Writer, cfg Config) ([]Table6Row, error) {
 	fams := Families()
 	rows := make([]Table6Row, len(fams))
-	err := forEachIndex(cfg.Workers, len(fams), func(f int) error {
+	err := par.ForEachIndexErr(cfg.Workers, len(fams), func(_, f int) error {
 		fam := fams[f]
 		in := fam.Build(cfg.Seed)
 		advised := heuristics.Advise(in)[0]

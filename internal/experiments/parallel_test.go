@@ -2,62 +2,106 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
+
+	"transched/internal/core"
+	"transched/internal/flowshop"
+	"transched/internal/heuristics"
+	"transched/internal/model"
+	"transched/internal/simulate"
 )
 
-// TestForEachIndexCoversAll: every index is visited exactly once, at
-// every worker count including the inline serial path and the
-// all-cores default.
-func TestForEachIndexCoversAll(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 7, 100} {
-		const n = 100
-		var visits [n]atomic.Int32
-		if err := forEachIndex(workers, n, func(i int) error {
-			visits[i].Add(1)
-			return nil
-		}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+// TestSweepsMatchFreshRuns pins the plan-sharing sweeps to one fresh
+// run per cell and heuristic, bit for bit, at workers 1, 2 and 0 (every
+// core): RunSweep whole and in batches against RunBatches on a copy of
+// the trace at the cell's capacity, and RunRobustSweep against planning
+// on the perturbed copy and replaying the plan's order on the true one.
+func TestSweepsMatchFreshRuns(t *testing.T) {
+	const sigma, seed = 0.3, 5
+	cfg := testConfig()
+	cfg.Processes = 3
+	for _, app := range []string{"HF", "CCSD"} {
+		traces, err := GenerateTraces(app, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range visits {
-			if got := visits[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: index %d visited %d times", workers, i, got)
+		mults := cfg.multipliers()
+		fresh := func(batch int, robust bool) [][][]float64 {
+			out := make([][][]float64, len(heuristics.Names()))
+			for h, name := range heuristics.Names() {
+				out[h] = make([][]float64, len(mults))
+				for m, mult := range mults {
+					for ti, tr := range traces {
+						capacity := tr.MinCapacity() * mult
+						heur, err := heuristics.ByName(name, capacity)
+						if err != nil {
+							t.Fatal(err)
+						}
+						var s *core.Schedule
+						if robust {
+							planIn := core.NewInstance(model.PerturbTasks(tr.Tasks, sigma, seed+int64(ti)), capacity)
+							planned, err := heur.Run(planIn)
+							if err != nil {
+								t.Fatal(err)
+							}
+							pos := map[string]int{}
+							for i, task := range tr.Tasks {
+								pos[task.Name] = i
+							}
+							var perm []int
+							for _, a := range planned.Assignments {
+								perm = append(perm, pos[a.Task.Name])
+							}
+							s, err = simulate.Run(tr.Instance(capacity), simulate.Policy{
+								Order: func([]core.Task) []int { return perm },
+							})
+						} else {
+							s, err = heur.RunBatches(tr.Instance(capacity), batch)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						out[h][m] = append(out[h][m], s.Makespan()/flowshop.OMIM(tr.Tasks))
+					}
+				}
+			}
+			return out
+		}
+		same := func(label string, got, want [][][]float64) {
+			t.Helper()
+			for h := range want {
+				for m := range want[h] {
+					for ti := range want[h][m] {
+						if g, w := got[h][m][ti], want[h][m][ti]; math.Float64bits(g) != math.Float64bits(w) {
+							t.Fatalf("%s %s: %s at %g mc on trace %d: ratio %v, fresh run %v",
+								app, label, heuristics.Names()[h], mults[m], ti, g, w)
+						}
+					}
+				}
 			}
 		}
-	}
-}
-
-// TestForEachIndexCancelsOnError: one failing unit cancels the
-// remaining work (in-flight units finish, queued ones never start) and
-// its error surfaces.
-func TestForEachIndexCancelsOnError(t *testing.T) {
-	const n, workers = 100, 4
-	boom := fmt.Errorf("boom")
-	var started atomic.Int32
-	begin := time.Now()
-	err := forEachIndex(workers, n, func(i int) error {
-		started.Add(1)
-		if i == 0 {
-			return boom
+		for _, batch := range []int{0, 20} {
+			want := fresh(batch, false)
+			for _, workers := range []int{1, 2, 0} {
+				sw, err := RunSweep(app, traces, mults, SweepOptions{BatchSize: batch, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				same(fmt.Sprintf("RunSweep batch %d workers %d", batch, workers), sw.Ratios, want)
+			}
 		}
-		time.Sleep(50 * time.Millisecond)
-		return nil
-	})
-	elapsed := time.Since(begin)
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("err = %v", err)
-	}
-	// Without cancellation the pool would run all 100 units
-	// (~99/4 × 50ms ≈ 1.2s); with it only the units already in flight
-	// when unit 0 failed complete.
-	if got := started.Load(); got > 2*workers {
-		t.Errorf("%d units started after the failure (want ≤ %d)", got, 2*workers)
-	}
-	if elapsed > time.Second {
-		t.Errorf("pool took %v to cancel", elapsed)
+		want := fresh(0, true)
+		for _, workers := range []int{1, 2, 0} {
+			sw, err := RunRobustSweep(app, traces, mults, sigma, seed, SweepOptions{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(fmt.Sprintf("RunRobustSweep workers %d", workers), sw.Ratios, want)
+		}
 	}
 }
 

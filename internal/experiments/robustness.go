@@ -8,9 +8,8 @@ import (
 
 	"transched/internal/chem"
 	"transched/internal/core"
-	"transched/internal/flowshop"
-	"transched/internal/heuristics"
 	"transched/internal/model"
+	"transched/internal/par"
 	"transched/internal/simulate"
 	"transched/internal/stats"
 	"transched/internal/trace"
@@ -41,87 +40,48 @@ func RunRobustSweep(app string, traces []*trace.Trace, multipliers []float64, si
 		opts.BatchSize = 0
 		return RunSweep(app, traces, multipliers, opts)
 	}
-	names := opts.Heuristics
-	if len(names) == 0 {
-		names = heuristics.Names()
+	sc, err := newSweepCells(app, traces, multipliers, opts.Heuristics)
+	if err != nil {
+		return nil, err
 	}
-	position := make(map[string]int, len(names))
-	for i, n := range heuristics.Names() {
-		position[n] = i
-	}
-	hIdx := make([]int, len(names))
-	cats := make([]heuristics.Category, len(names))
-	for h, name := range names {
-		heur, err := heuristics.ByName(name, 1)
-		if err != nil {
-			return nil, err
-		}
-		hIdx[h] = position[name]
-		cats[h] = heur.Category
-	}
-
-	mcs := make([]float64, len(traces))
-	omims := make([]float64, len(traces))
-	sumMC := 0.0
-	for t, tr := range traces {
-		mcs[t] = tr.MinCapacity()
-		omims[t] = flowshop.OMIM(tr.Tasks)
-		if omims[t] <= 0 {
-			return nil, fmt.Errorf("experiments: trace %s/%d has zero OMIM", tr.App, tr.Process)
-		}
-		sumMC += mcs[t]
-	}
-	meanMC := sumMC / float64(len(traces))
+	sw, names := sc.sw, sc.sw.Heuristics
 
 	// The per-trace perturbation is seeded by trace index, not by cell:
 	// every capacity multiplier sees the same mispredicted durations, as
 	// it would in a real system where the estimate precedes the sweep.
+	// The plans are built on those durations, once per trace.
 	perturbed := make([][]core.Task, len(traces))
+	index := make([]map[string]int, len(traces))
 	for t, tr := range traces {
 		perturbed[t] = model.PerturbTasks(tr.Tasks, sigma, seed+int64(t))
-	}
-
-	sw := &Sweep{
-		App:          app,
-		Heuristics:   names,
-		Multipliers:  multipliers,
-		MeanCapacity: make([]float64, len(multipliers)),
-		Ratios:       make([][][]float64, len(names)),
-		Categories:   cats,
-	}
-	nm := len(multipliers)
-	for m, mult := range multipliers {
-		sw.MeanCapacity[m] = meanMC * mult
-	}
-	for h := range names {
-		sw.Ratios[h] = make([][]float64, nm)
-		for m := range multipliers {
-			sw.Ratios[h][m] = make([]float64, len(traces))
+		index[t] = make(map[string]int, len(tr.Tasks))
+		for i, task := range tr.Tasks {
+			index[t][task.Name] = i
 		}
 	}
 
-	err := forEachIndexW(opts.Workers, len(traces)*nm, func(_, u int) error {
+	nm := len(multipliers)
+	plans := newTracePlans(len(traces), nm)
+	err = par.ForEachIndexErr(opts.Workers, len(traces)*nm, func(_, u int) error {
 		t, m := u/nm, u%nm
 		tr := traces[t]
 		mult := multipliers[m]
-		capacity := mcs[t] * mult
-		planIn := core.NewInstance(perturbed[t], capacity)
-		trueIn := tr.Instance(capacity)
-		all := heuristics.All(capacity)
-		for h := range names {
-			heur := all[hIdx[h]]
-			planned, err := heur.Run(planIn)
+		capacity := sc.mcs[t] * mult
+		trueIn := &core.Instance{Tasks: tr.Tasks, Capacity: capacity}
+		for h, plan := range plans[t].get(perturbed[t], 0, sc.pols) {
+			planned, err := plan.Run(capacity)
 			if err != nil {
 				return fmt.Errorf("experiments: %s planning on %s/%d at %gx (sigma %g): %w",
 					names[h], tr.App, tr.Process, mult, sigma, err)
 			}
-			executed, err := replay(trueIn, tr.Tasks, planned)
+			executed, err := replay(trueIn, index[t], planned)
 			if err != nil {
 				return fmt.Errorf("experiments: %s replay on %s/%d at %gx (sigma %g): %w",
 					names[h], tr.App, tr.Process, mult, sigma, err)
 			}
-			sw.Ratios[h][m][t] = executed.Makespan() / omims[t]
+			sw.Ratios[h][m][t] = executed.Makespan() / sc.omims[t]
 		}
+		plans[t].done()
 		return nil
 	})
 	if err != nil {
@@ -134,12 +94,9 @@ func RunRobustSweep(app string, traces []*trace.Trace, multipliers []float64, si
 // instance: the link is serial, so the plan's communication-start order
 // is the total order the scheduler committed to, and running it as a
 // static sequence (memory feasibility still enforced — Mem is exact) is
-// what execution under the real durations does to the plan.
-func replay(trueIn *core.Instance, tasks []core.Task, planned *core.Schedule) (*core.Schedule, error) {
-	index := make(map[string]int, len(tasks))
-	for i, t := range tasks {
-		index[t.Name] = i
-	}
+// what execution under the real durations does to the plan. index maps
+// a task name to its position in trueIn.Tasks.
+func replay(trueIn *core.Instance, index map[string]int, planned *core.Schedule) (*core.Schedule, error) {
 	perm := make([]int, 0, len(planned.Assignments))
 	for _, a := range planned.Assignments {
 		i, ok := index[a.Task.Name]
@@ -148,9 +105,7 @@ func replay(trueIn *core.Instance, tasks []core.Task, planned *core.Schedule) (*
 		}
 		perm = append(perm, i)
 	}
-	return simulate.Run(trueIn, simulate.Policy{
-		Order: func([]core.Task) []int { return append([]int(nil), perm...) },
-	})
+	return simulate.Static(trueIn, perm)
 }
 
 // RobustnessOptions configures the Robustness driver.

@@ -126,9 +126,11 @@ func BinPackingOrder(tasks []core.Task, capacity float64) []int {
 
 // All returns every heuristic evaluated in the paper, in the order the
 // figures list them: OS, GG, BP, OOSIM, IOCMS, DOCPS, IOCCS, DOCCS, LCMR,
-// SCMR, MAMR, OOLCMR, OOSCMR, OOMAMR. The capacity parameter is needed by
-// BP (its bins have the target memory's size); every other heuristic
-// ignores it.
+// SCMR, MAMR, OOLCMR, OOSCMR, OOMAMR. Every policy takes the memory
+// capacity from the run it drives: BP's bins have the size of the run's
+// capacity (a capacity-dependent order), and every other order is
+// capacity-free. The registry is therefore the same at every capacity;
+// the parameter only keeps existing callers compiling.
 func All(capacity float64) []Heuristic {
 	johnson := func(tasks []core.Task) []int { return flowshop.JohnsonOrder(tasks) }
 	return []Heuristic{
@@ -150,10 +152,8 @@ func All(capacity float64) []Heuristic {
 			Name:        "BP",
 			Description: "bin packing (First-Fit by memory)",
 			Category:    Static,
-			Policy: simulate.Policy{Order: func(tasks []core.Task) []int {
-				return BinPackingOrder(tasks, capacity)
-			}},
-			Favorable: "tight memory: groups of tasks that fit together execute together",
+			Policy:      simulate.Policy{CapacityOrder: BinPackingOrder},
+			Favorable:   "tight memory: groups of tasks that fit together execute together",
 		},
 		{
 			Name:        "OOSIM",

@@ -16,10 +16,14 @@ func orderOf(t *testing.T, name string, tasks []core.Task, capacity float64) []i
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Policy.Order == nil {
-		t.Fatalf("%s has no order function", name)
+	switch {
+	case h.Policy.Order != nil:
+		return h.Policy.Order(tasks)
+	case h.Policy.CapacityOrder != nil:
+		return h.Policy.CapacityOrder(tasks, capacity)
 	}
-	return h.Policy.Order(tasks)
+	t.Fatalf("%s has no order function", name)
+	return nil
 }
 
 func sortedByOrder(tasks []core.Task, order []int, key func(core.Task) float64) bool {
@@ -149,10 +153,15 @@ func TestOrdersArePermutations(t *testing.T) {
 	rng := rand.New(rand.NewSource(149))
 	tasks := testutil.RandomTasks(rng, 64, 10)
 	for _, h := range All(20) {
-		if h.Policy.Order == nil {
+		var order []int
+		switch {
+		case h.Policy.Order != nil:
+			order = h.Policy.Order(tasks)
+		case h.Policy.CapacityOrder != nil:
+			order = h.Policy.CapacityOrder(tasks, 20)
+		default:
 			continue
 		}
-		order := h.Policy.Order(tasks)
 		cp := append([]int(nil), order...)
 		sort.Ints(cp)
 		for i, v := range cp {

@@ -11,7 +11,7 @@ import (
 // racy patterns the deterministic worker pool forbids — concurrent
 // appends interleave in scheduling order (and race), so parallel output
 // diverges from serial. The blessed pattern is a preallocated,
-// index-addressed slot per work unit (internal/experiments/pool.go,
+// index-addressed slot per work unit (internal/par,
 // obs's CellSpan slots): writing results[i] from the goroutine that owns
 // index i is race-free and order-independent, and is deliberately not
 // flagged.
@@ -68,7 +68,7 @@ func checkGoClosure(pass *Pass, lit *ast.FuncLit) {
 					if call, ok := ast.Unparen(st.Rhs[i]).(*ast.CallExpr); ok && isAppend(pass.TypesInfo, call) {
 						if name, isCaptured := captured(lhs); isCaptured {
 							pass.Reportf(st.Pos(),
-								"append to captured %q inside go closure: concurrent appends race and interleave in scheduling order (preallocate and write results[i] — see internal/experiments/pool.go)",
+								"append to captured %q inside go closure: concurrent appends race and interleave in scheduling order (preallocate and write results[i] — see internal/par)",
 								name)
 							continue
 						}

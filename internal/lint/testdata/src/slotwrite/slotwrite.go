@@ -50,7 +50,7 @@ func flaggedFloatAccum(items []float64) float64 {
 
 func slotWritesOK(items []int) []int {
 	// The blessed pattern: preallocated, index-addressed slots, each
-	// goroutine writing only the slot it owns (pool.go's discipline).
+	// goroutine writing only the slot it owns (internal/par's discipline).
 	results := make([]int, len(items))
 	var wg sync.WaitGroup
 	for i, it := range items {

@@ -82,7 +82,7 @@ func TestSnapshotTextRender(t *testing.T) {
 }
 
 // TestConcurrentMetricUpdates hammers one counter, one gauge and one
-// histogram from many goroutines — the pattern forEachIndex workers
+// histogram from many goroutines — the pattern par.ForEachIndexErr workers
 // produce — and checks totals. Run under -race (scripts/verify.sh does)
 // this is the data-race gate for the metrics core.
 func TestConcurrentMetricUpdates(t *testing.T) {

@@ -185,7 +185,7 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	switch cfg.Selection {
 	case Fixed:
-		if cfg.Policy.Order == nil && cfg.Policy.Crit == nil {
+		if cfg.Policy.Order == nil && cfg.Policy.CapacityOrder == nil && cfg.Policy.Crit == nil {
 			return nil, fmt.Errorf("rts: fixed selection needs a policy")
 		}
 	case Auto:

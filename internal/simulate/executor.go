@@ -1,10 +1,6 @@
 package simulate
 
-import (
-	"fmt"
-
-	"transched/internal/core"
-)
+import "transched/internal/core"
 
 // Executor is the incremental form of the batch runner: it holds the
 // link, processing-unit and memory state between calls so a runtime
@@ -53,7 +49,7 @@ func (e *Executor) Scheduled() int { return len(e.st.schedule.Assignments) }
 // from the current state. Tasks whose memory requirement exceeds the
 // capacity are rejected before any state changes.
 func (e *Executor) RunBatch(p Policy, tasks []core.Task) error {
-	if err := e.checkBatch(tasks); err != nil {
+	if err := checkFits(&core.Instance{Tasks: tasks, Capacity: e.st.capacity}); err != nil {
 		return err
 	}
 	err := runBatchInto(e.st, p, tasks)
@@ -70,7 +66,7 @@ func (e *Executor) RunBatch(p Policy, tasks []core.Task) error {
 // kernel pool and records no schedule, so a runtime can afford one trial
 // per candidate policy per batch (rts.Auto does exactly that).
 func (e *Executor) TrialMakespan(p Policy, tasks []core.Task) (float64, error) {
-	if err := e.checkBatch(tasks); err != nil {
+	if err := checkFits(&core.Instance{Tasks: tasks, Capacity: e.st.capacity}); err != nil {
 		return 0, err
 	}
 	st := getState(e.st.capacity)
@@ -85,21 +81,10 @@ func (e *Executor) TrialMakespan(p Policy, tasks []core.Task) (float64, error) {
 	return st.span, nil
 }
 
-func (e *Executor) checkBatch(tasks []core.Task) error {
-	for _, t := range tasks {
-		if err := t.Validate(); err != nil {
-			return err
-		}
-		if t.Mem > e.st.capacity+eps {
-			return fmt.Errorf("simulate: task %q needs %g memory, capacity %g", t.Name, t.Mem, e.st.capacity)
-		}
-	}
-	return nil
-}
-
 // Stats returns the executor's work counters so far (batches completed,
-// tasks placed, memory-release stalls, peak resident memory). Purely
-// observational: reading or ignoring it never changes a schedule.
+// tasks placed, memory-release stalls, peak resident memory, and the
+// paths dynamic selection took). Purely observational: reading or
+// ignoring it never changes a schedule.
 func (e *Executor) Stats() ExecStats { return e.st.stats }
 
 // Clone returns an independent copy of the executor (state and schedule),

@@ -13,7 +13,10 @@
 //
 // All three keep the same order on both resources, as in the paper. The
 // batch runner (paper §6.3) feeds tasks to a policy in groups of fixed
-// size, carrying resource and memory state across groups.
+// size, carrying resource and memory state across groups. Everything a
+// run reads that does not depend on the memory capacity — static orders,
+// criterion keys, sorted selection indexes — lives in a Plan, which a
+// capacity sweep builds once and runs at every capacity.
 //
 // The event loop is engineered for the daemon's hot path (DESIGN.md
 // §"Simulation kernel"): pending memory releases live in a binary
@@ -29,7 +32,6 @@ package simulate
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"transched/internal/core"
@@ -56,12 +58,22 @@ func MaxAccelerated(t core.Task) float64 { return t.Ratio() }
 
 // Policy describes how one heuristic schedules a set of ready tasks.
 //
-//   - Order != nil, Crit == nil: static — execute Order's permutation.
-//   - Order == nil, Crit != nil: dynamic — event-loop selection by Crit.
-//   - both non-nil: static order with dynamic corrections.
+//   - an order, no Crit: static — execute the order's permutation.
+//   - Crit, no order: dynamic — event-loop selection by Crit.
+//   - both: static order with dynamic corrections.
+//
+// An order is either capacity-free (Order, a function of the tasks
+// alone) or capacity-dependent (CapacityOrder, also a function of the
+// memory capacity of the run, like BP's First-Fit bins). A Plan computes
+// a capacity-free order once and reuses it at every capacity; it
+// computes a capacity-dependent one afresh in every run. A policy sets
+// at most one of the two.
 type Policy struct {
 	// Order maps the ready tasks to a permutation of their indices.
 	Order func(tasks []core.Task) []int
+	// CapacityOrder maps the ready tasks and the run's memory capacity to
+	// a permutation of the tasks' indices.
+	CapacityOrder func(tasks []core.Task, capacity float64) []int
 	// Crit ranks fitting candidates during dynamic selection.
 	Crit Criterion
 	// NoIdleFilter disables the paper's minimum-induced-idle pre-filter
@@ -69,6 +81,18 @@ type Policy struct {
 	// The paper's heuristics all keep the filter; this knob exists for the
 	// ablation study in DESIGN.md §6.
 	NoIdleFilter bool
+}
+
+// check reports a malformed policy. ownOrder says the caller supplies
+// the order itself (Static, Corrected).
+func (p Policy) check(ownOrder bool) error {
+	switch {
+	case p.Order != nil && p.CapacityOrder != nil:
+		return fmt.Errorf("simulate: policy has both a capacity-free and a capacity-dependent order")
+	case p.Order == nil && p.CapacityOrder == nil && p.Crit == nil && !ownOrder:
+		return fmt.Errorf("simulate: policy has neither an order nor a criterion")
+	}
+	return nil
 }
 
 // Run schedules the whole instance with the policy.
@@ -80,26 +104,9 @@ func Run(in *core.Instance, p Policy) (*core.Schedule, error) {
 // given size (paper §6.3 uses 100): the policy only ever sees one batch of
 // ready tasks, while link availability, processing-unit availability and
 // resident memory carry over between batches. batchSize <= 0 means a
-// single batch.
+// single batch. It builds a pooled Plan and runs it once.
 func RunBatches(in *core.Instance, batchSize int, p Policy) (*core.Schedule, error) {
-	if err := checkFits(in); err != nil {
-		return nil, err
-	}
-	if batchSize <= 0 {
-		batchSize = len(in.Tasks)
-	}
-	st := getState(in.Capacity)
-	defer putState(st)
-	st.schedule = core.NewScheduleCap(in.Capacity, len(in.Tasks))
-	for lo := 0; lo < len(in.Tasks); lo += batchSize {
-		hi := min(lo+batchSize, len(in.Tasks))
-		if err := runBatchInto(st, p, in.Tasks[lo:hi]); err != nil {
-			return nil, err
-		}
-	}
-	s := st.schedule
-	st.schedule = nil
-	return s, nil
+	return runOnce(in, submissionBatches(len(in.Tasks), batchSize), p, nil, false)
 }
 
 // Static executes the permutation `order` over in.Tasks under the memory
@@ -107,18 +114,7 @@ func RunBatches(in *core.Instance, batchSize int, p Policy) (*core.Schedule, err
 // §4.1). It returns an error if a task's memory requirement exceeds the
 // capacity.
 func Static(in *core.Instance, order []int) (*core.Schedule, error) {
-	if err := checkFits(in); err != nil {
-		return nil, err
-	}
-	st := getState(in.Capacity)
-	defer putState(st)
-	st.schedule = core.NewScheduleCap(in.Capacity, len(in.Tasks))
-	if err := staticInto(st, in.Tasks, order); err != nil {
-		return nil, err
-	}
-	s := st.schedule
-	st.schedule = nil
-	return s, nil
+	return runOnce(in, 0, Policy{}, order, true)
 }
 
 // Dynamic runs the dynamic-selection event loop (paper §4.2).
@@ -128,20 +124,30 @@ func Dynamic(in *core.Instance, crit Criterion) (*core.Schedule, error) {
 
 // Corrected runs a static order with dynamic corrections (paper §4.3).
 func Corrected(in *core.Instance, order []int, crit Criterion) (*core.Schedule, error) {
-	if err := checkFits(in); err != nil {
-		return nil, err
-	}
-	st := getState(in.Capacity)
-	defer putState(st)
-	st.schedule = core.NewScheduleCap(in.Capacity, len(in.Tasks))
-	if err := correctedInto(st, in.Tasks, order, crit, false); err != nil {
-		return nil, err
-	}
-	s := st.schedule
-	st.schedule = nil
-	return s, nil
+	return runOnce(in, 0, Policy{Crit: crit}, order, true)
 }
 
+// runOnce builds a pooled plan and runs it once at the instance's
+// capacity: the one-shot entry points take Plan.Run's path, and the
+// pooled arenas keep a single run free of the plan's allocations.
+func runOnce(in *core.Instance, batchSize int, p Policy, fixed []int, ownOrder bool) (*core.Schedule, error) {
+	pl := getPlan()
+	defer putPlan(pl)
+	pl.build(in.Tasks, batchSize, p, fixed, ownOrder)
+	return pl.Run(in.Capacity)
+}
+
+// runBatchInto runs tasks as one batch of the policy on st, continuing
+// from its state (Executor.RunBatch and TrialMakespan).
+func runBatchInto(st *state, p Policy, tasks []core.Task) error {
+	pl := getPlan()
+	defer putPlan(pl)
+	pl.build(tasks, 0, p, nil, false)
+	return pl.runOn(st)
+}
+
+// checkFits rejects an invalid task or one whose memory requirement
+// exceeds the capacity, whichever comes first in submission order.
 func checkFits(in *core.Instance) error {
 	for _, t := range in.Tasks {
 		if err := t.Validate(); err != nil {
@@ -152,20 +158,6 @@ func checkFits(in *core.Instance) error {
 		}
 	}
 	return nil
-}
-
-// runBatchInto dispatches one batch to the policy's executor family.
-func runBatchInto(st *state, p Policy, tasks []core.Task) error {
-	switch {
-	case p.Order != nil && p.Crit == nil:
-		return staticInto(st, tasks, p.Order(tasks))
-	case p.Order == nil && p.Crit != nil:
-		return dynamicInto(st, tasks, p.Crit, p.NoIdleFilter)
-	case p.Order != nil && p.Crit != nil:
-		return correctedInto(st, tasks, p.Order(tasks), p.Crit, p.NoIdleFilter)
-	default:
-		return fmt.Errorf("simulate: policy has neither an order nor a criterion")
-	}
 }
 
 // state tracks the executor's resources while building a schedule.
@@ -201,6 +193,18 @@ type ExecStats struct {
 	MemStalls int
 	// PeakMemory is the high-water mark of resident memory.
 	PeakMemory float64
+
+	// Picks counts dynamic-selection rounds (selector.pick calls). Each
+	// ends on exactly one of four paths, counted below: nothing fits (a
+	// stall), the fast path, a scan stopped early, or a full scan.
+	Picks      int
+	PickStalls int
+	PickFast   int
+	PickEarly  int
+	PickFull   int
+	// Scanned counts the remaining tasks the selection scans visited,
+	// fitting or not; Scanned / Placed is the scan cost per placement.
+	Scanned int
 }
 
 // release is one pending memory release: the instant a placed task's
@@ -276,6 +280,7 @@ func getState(capacity float64) *state {
 
 func putState(st *state) {
 	st.schedule = nil // the schedule escapes to the caller; never pool it
+	st.sel.unload()
 	statePool.Put(st)
 }
 
@@ -378,24 +383,18 @@ func staticInto(st *state, tasks []core.Task, order []int) error {
 	return nil
 }
 
-func dynamicInto(st *state, tasks []core.Task, crit Criterion, noIdleFilter bool) error {
-	return runSelection(st, tasks, nil, crit, false, noIdleFilter)
-}
-
-func correctedInto(st *state, tasks []core.Task, order []int, crit Criterion, noIdleFilter bool) error {
-	if len(order) != len(tasks) {
+// runSelection is the shared event loop. order is the scan order of the
+// remaining tasks (nil means submission order); with an order, its head
+// is preferred whenever it fits (corrections mode), otherwise every
+// fitting task competes (pure dynamic mode).
+func runSelection(st *state, b *planBatch, order []int, noIdleFilter bool) error {
+	tasks := b.tasks
+	if order != nil && len(order) != len(tasks) {
 		return fmt.Errorf("simulate: order has %d entries for %d tasks", len(order), len(tasks))
 	}
-	return runSelection(st, tasks, order, crit, true, noIdleFilter)
-}
-
-// runSelection is the shared event loop. order is the scan order of the
-// remaining tasks (nil means submission order); with followHead, the head
-// of the remaining order is preferred whenever it fits (corrections
-// mode), otherwise every fitting task competes (pure dynamic mode).
-func runSelection(st *state, tasks []core.Task, order []int, crit Criterion, followHead, noIdleFilter bool) error {
+	followHead := order != nil
 	sel := &st.sel
-	sel.reset(tasks, order, crit)
+	sel.reset(b, order)
 	now := st.tauComm
 	for sel.n > 0 {
 		if st.tauComm > now {
@@ -409,6 +408,7 @@ func runSelection(st *state, tasks []core.Task, order []int, crit Criterion, fol
 				continue
 			}
 		}
+		st.stats.Picks++
 		pick := sel.pick(st, now, noIdleFilter)
 		if pick < 0 {
 			next := st.nextRelease()
@@ -425,16 +425,19 @@ func runSelection(st *state, tasks []core.Task, order []int, crit Criterion, fol
 	return nil
 }
 
-// selector is the per-batch working set of dynamic selection: criterion
-// keys, communication times and memory requirements unpacked once into
-// index-aligned float slices; the remaining scan order with
-// order-preserving tombstones; and the key-descending index that powers
-// the exact fast path. All slices are reused across batches and runs.
+// selector is the per-run working set of dynamic selection over one
+// batch. It reads the batch's criterion keys, communication times,
+// memory requirements and sorted indexes from the plan, which it never
+// writes, and owns only what a run changes: the remaining scan order
+// with order-preserving tombstones, the alive flags and the cursors into
+// the sorted indexes. Its own slices are reused across batches and runs.
 type selector struct {
-	key   []float64 // criterion value per batch index, computed once
-	comm  []float64 // communication time per batch index
-	mem   []float64 // memory requirement per batch index
-	alive []bool    // batch index -> still unscheduled
+	// Borrowed from the plan batch; read-only.
+	key  []float64 // criterion value per batch index
+	comm []float64 // communication time per batch index
+	mem  []float64 // memory requirement per batch index
+
+	alive []bool // batch index -> still unscheduled
 
 	rem     []int // remaining scan order; -1 marks a removed (tombstoned) entry
 	remPos  []int // batch index -> its position in rem
@@ -449,7 +452,6 @@ type selector struct {
 	sorted  []int
 	sortPtr int
 	hasNaN  bool
-	sorter  keySorter
 
 	// memSorted lists batch indices by (memory ascending, index
 	// ascending); memPtr advances past removed entries at the front, so
@@ -457,30 +459,19 @@ type selector struct {
 	// stall check — is amortized O(1).
 	memSorted []int
 	memPtr    int
-	memSorter memSorter
 }
 
-// reset loads one batch into the selector. order is the scan order (nil
-// means submission order).
-func (sel *selector) reset(tasks []core.Task, order []int, crit Criterion) {
-	n := len(tasks)
-	sel.key = growFloats(sel.key, n)
-	sel.comm = growFloats(sel.comm, n)
-	sel.mem = growFloats(sel.mem, n)
+// reset loads one plan batch into the selector. order is the scan order
+// (nil means submission order).
+func (sel *selector) reset(b *planBatch, order []int) {
+	n := len(b.tasks)
+	sel.key, sel.comm, sel.mem = b.key, b.comm, b.mem
+	sel.sorted, sel.memSorted, sel.hasNaN = b.sorted, b.memSorted, b.hasNaN
 	sel.alive = growBools(sel.alive, n)
 	sel.rem = growInts(sel.rem, n)
 	sel.remPos = growInts(sel.remPos, n)
-	sel.sorted = growInts(sel.sorted, n)
-	sel.hasNaN = false
-	for i, t := range tasks {
-		k := crit(t)
-		sel.key[i] = k
-		sel.comm[i] = t.Comm
-		sel.mem[i] = t.Mem
+	for i := range sel.alive {
 		sel.alive[i] = true
-		if math.IsNaN(k) {
-			sel.hasNaN = true
-		}
 	}
 	if order == nil {
 		for i := range sel.rem {
@@ -494,21 +485,14 @@ func (sel *selector) reset(tasks []core.Task, order []int, crit Criterion) {
 		}
 	}
 	sel.dead, sel.headPos, sel.n = 0, 0, n
-	if !sel.hasNaN {
-		for i := range sel.sorted {
-			sel.sorted[i] = i
-		}
-		sel.sorter.key, sel.sorter.idx = sel.key, sel.sorted
-		sort.Sort(&sel.sorter)
-		sel.sortPtr = 0
-	}
-	sel.memSorted = growInts(sel.memSorted, n)
-	for i := range sel.memSorted {
-		sel.memSorted[i] = i
-	}
-	sel.memSorter.mem, sel.memSorter.idx = sel.mem, sel.memSorted
-	sort.Sort(&sel.memSorter)
-	sel.memPtr = 0
+	sel.sortPtr, sel.memPtr = 0, 0
+}
+
+// unload drops the selector's references into a plan, so a pooled state
+// never keeps a finished plan alive.
+func (sel *selector) unload() {
+	sel.key, sel.comm, sel.mem = nil, nil, nil
+	sel.sorted, sel.memSorted = nil, nil
 }
 
 // head returns the first remaining batch index in scan order.
@@ -608,12 +592,14 @@ func (sel *selector) topFitting(st *state) (top, second int) {
 //     candidate can fire either comparison branch, so the scan stops.
 func (sel *selector) pick(st *state, now float64, noIdleFilter bool) int {
 	if m := sel.minAliveMem(); m < 0 || !(st.used+sel.mem[m] <= st.capacity+eps) {
+		st.stats.PickStalls++
 		return -1
 	}
 	maxFitKey := math.Inf(1) // +Inf disables the early exit (see scan)
 	if !sel.hasNaN {
 		top, second := sel.topFitting(st)
 		if top < 0 {
+			st.stats.PickStalls++
 			return -1 // unreachable: the stall check found a fitting task
 		}
 		idle := 0.0
@@ -623,14 +609,19 @@ func (sel *selector) pick(st *state, now float64, noIdleFilter bool) int {
 			}
 		}
 		if idle == 0 && (second < 0 || sel.key[top] > sel.key[second]+eps) {
+			st.stats.PickFast++
 			return top
 		}
 		maxFitKey = sel.key[top]
 	}
-	best := -1
+	best, scanned := -1, 0
 	bestIdle, bestKey := math.Inf(1), math.Inf(-1)
 	for _, i := range sel.rem {
-		if i < 0 || !(st.used+sel.mem[i] <= st.capacity+eps) {
+		if i < 0 {
+			continue
+		}
+		scanned++
+		if !(st.used+sel.mem[i] <= st.capacity+eps) {
 			continue
 		}
 		idle := 0.0
@@ -647,15 +638,19 @@ func (sel *selector) pick(st *state, now float64, noIdleFilter bool) int {
 			// Exact even when maxFitKey is +Inf: reaching it then needs
 			// bestKey = +Inf, which no later key can exceed either.
 			if bestIdle == 0 && bestKey+eps >= maxFitKey {
+				st.stats.PickEarly++
+				st.stats.Scanned += scanned
 				return best
 			}
 		}
 	}
+	st.stats.PickFull++
+	st.stats.Scanned += scanned
 	return best
 }
 
 // keySorter orders batch indices by key descending, index ascending — a
-// concrete sort.Interface so reset's sort allocates nothing per batch.
+// concrete sort.Interface so a plan's sort allocates nothing per batch.
 type keySorter struct {
 	key []float64
 	idx []int

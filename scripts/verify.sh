@@ -102,14 +102,18 @@ go test -race -count=1 -run 'ByteIdentical|NilTracerUniversalNoOp' \
 # parallel sweep, both with trace export on, must print identical
 # results (OBSERVABILITY.md) — instrumentation can never silently
 # perturb the PR 1 bit-identical guarantee. stderr (where the trace
-# writer reports) is left out of the comparison by design.
-go run ./cmd/experiments -fig 9 -processes 2 -tasks 24 -workers 1 \
-    -trace-out "$tmp/serial-trace.json" > "$tmp/serial.out"
-go run ./cmd/experiments -fig 9 -processes 2 -tasks 24 \
-    -trace-out "$tmp/parallel-trace.json" > "$tmp/parallel.out"
-if ! cmp -s "$tmp/serial.out" "$tmp/parallel.out"; then
-    echo "verify: traced sweep output differs between -workers 1 and parallel" >&2
-    diff "$tmp/serial.out" "$tmp/parallel.out" >&2 || true
-    exit 1
-fi
+# writer reports) is left out of the comparison by design. Fig 9 runs
+# each trace whole and Fig 13 in submission batches: the two shapes of
+# plan the sweep shares across capacities.
+for fig in 9 13; do
+    go run ./cmd/experiments -fig "$fig" -processes 2 -tasks 24 -workers 1 \
+        -trace-out "$tmp/serial-trace.json" > "$tmp/serial.out"
+    go run ./cmd/experiments -fig "$fig" -processes 2 -tasks 24 \
+        -trace-out "$tmp/parallel-trace.json" > "$tmp/parallel.out"
+    if ! cmp -s "$tmp/serial.out" "$tmp/parallel.out"; then
+        echo "verify: traced Fig $fig output differs between -workers 1 and parallel" >&2
+        diff "$tmp/serial.out" "$tmp/parallel.out" >&2 || true
+        exit 1
+    fi
+done
 echo "verify: ok (build, vet, transchedlint, gofmt, race+shuffle tests, nil-tracer byte-identity, traced determinism byte-compare)"
