@@ -16,9 +16,6 @@
 // noise level from the fit residuals, reruns the 14-heuristic sweep at
 // increasing noise, and prints a ranking-stability table; the
 // zero-noise block is byte-identical to the standard sweep.
-// -model-kind selects the estimator, and -model-bench FILE additionally
-// writes BENCH_MODEL.json-style fit/sweep timings (the one place wall
-// time is measured — inside this command, never in the drivers).
 //
 // The sweep drivers fan out across all cores by default; -workers caps
 // the pool and -workers 1 reproduces the serial path. Results are
@@ -61,8 +58,6 @@ func main() {
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProfile = flag.String("memprofile", "", "write a post-run heap profile to this file (go tool pprof)")
 		robustness = flag.Bool("robustness", false, "run the robustness-under-misprediction study instead of a figure")
-		modelKind  = flag.String("model-kind", "ridge", "duration estimator for -robustness: ridge or kernel")
-		modelBench = flag.String("model-bench", "", "with -robustness, also write fit/sweep timing JSON (BENCH_MODEL.json) to this file")
 	)
 	flag.Parse()
 
@@ -100,8 +95,8 @@ func main() {
 		os.Exit(1)
 	}
 	var runErr error
-	if *robustness || *modelBench != "" {
-		runErr = runRobustness(cfg, *modelKind, *modelBench)
+	if *robustness {
+		runErr = runRobustness(cfg)
 	} else {
 		runErr = run(*fig, cfg, *milpNodes)
 	}
@@ -121,6 +116,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: wrote %d trace events to %s (load in Perfetto or chrome://tracing)\n",
 			cfg.Trace.Len(), *traceOut)
 	}
+}
+
+// runRobustness drives the robustness study for both applications.
+func runRobustness(cfg experiments.Config) error {
+	w := os.Stdout
+	for _, app := range []string{"HF", "CCSD"} {
+		fmt.Fprintf(w, "==== Robustness: %s heuristic ranking under misprediction ====\n", app)
+		if _, err := experiments.Robustness(w, app, cfg, experiments.RobustnessOptions{}); err != nil {
+			return err
+		}
+		fmt.Fprintln(w)
+	}
+	return nil
 }
 
 func run(fig string, cfg experiments.Config, milpNodes int) error {

@@ -18,7 +18,7 @@
 //
 //	transchedd -route http://h1:8080,http://h2:8080 [-replicas 64]
 //
-// With -model ridge (or kernel) the daemon fits a duration model at
+// With -model ridge the daemon fits a ridge duration model at
 // startup — quick-scale annotated HF+CCSD traces, golden seed 20190415,
 // bit-identical coefficients on every start — and fills in predicted
 // durations for feature-only tasks (both durations zero, `#!` feature
@@ -98,7 +98,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		replicas   = fs.Int("replicas", 64, "virtual nodes per backend on the routing ring (with -route)")
 		debug      = fs.Bool("debug", false, "mount /debug/vars and /debug/pprof/ on the service port")
 		quiet      = fs.Bool("quiet", false, "disable request logging")
-		modelKind  = fs.String("model", "", "fit a duration model at startup (ridge or kernel) and fill in missing durations for feature-only traces")
+		modelKind  = fs.String("model", "", "fit a duration model at startup (ridge, the one estimator) and fill in missing durations for feature-only traces")
 		reqTrace   = fs.Bool("request-trace", true, "per-request stage tracing: /debug/requests, X-Transched-Timing, serve_stage_seconds_* metrics")
 		traceOut   = fs.String("trace-out", "", "write sampled request spans as Chrome trace-event JSON to this file on shutdown (implies -request-trace)")
 		traceSamp  = fs.Int("trace-sample", 1, "export every Nth traced request to -trace-out (1 = all)")
@@ -162,8 +162,11 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 
 	var dm *model.DurationModel
 	if *modelKind != "" {
+		if *modelKind != "ridge" {
+			return fmt.Errorf("unknown -model %q (want ridge)", *modelKind)
+		}
 		var err error
-		if dm, err = fitServingModel(*modelKind, stderr); err != nil {
+		if dm, err = fitServingModel(stderr); err != nil {
 			return err
 		}
 	}
@@ -197,10 +200,10 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 // fitServingModel trains the -model duration estimator the daemon uses
 // to fill in missing durations on feature-only traces: quick-scale
 // annotated HF and CCSD workloads at the fixed golden seed, so every
-// daemon started with the same kind serves from bit-identical
-// coefficients (same digests as the robustness study's fit). The fit
-// wall time is logged but never feeds a result.
-func fitServingModel(kind string, stderr io.Writer) (*model.DurationModel, error) {
+// daemon serves from bit-identical coefficients (same digests as the
+// robustness study's fit). The fit wall time is logged but never feeds a
+// result.
+func fitServingModel(stderr io.Writer) (*model.DurationModel, error) {
 	cfg := experiments.QuickConfig()
 	cfg.Seed = 20190415
 	var traces []*trace.Trace
@@ -212,13 +215,13 @@ func fitServingModel(kind string, stderr io.Writer) (*model.DurationModel, error
 		traces = append(traces, trs...)
 	}
 	start := time.Now()
-	dm, rep, err := model.FitDurationModel(traces, model.FitOptions{Kind: kind, Seed: cfg.Seed})
+	dm, rep, err := model.FitDurationModel(traces, model.FitOptions{Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
 	fmt.Fprintf(stderr,
-		"transchedd: fitted %s duration model in %v (cm n=%d cv-mape=%.4g digest=%s; cp n=%d cv-mape=%.4g digest=%s; sigma=%.4g)\n",
-		rep.Kind, time.Since(start).Round(time.Millisecond),
+		"transchedd: fitted ridge duration model in %v (cm n=%d cv-mape=%.4g digest=%s; cp n=%d cv-mape=%.4g digest=%s; sigma=%.4g)\n",
+		time.Since(start).Round(time.Millisecond),
 		rep.NCM, rep.CVCM.MAPE, rep.DigestCM,
 		rep.NCP, rep.CVCP.MAPE, rep.DigestCP, rep.Sigma)
 	return dm, nil

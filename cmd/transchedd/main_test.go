@@ -340,9 +340,14 @@ func TestRunModelFlag(t *testing.T) {
 		t.Errorf("missing fit banner in stderr: %q", stderr.String())
 	}
 
-	// An unknown estimator kind fails at startup, before binding.
-	var bad bytes.Buffer
-	if err := run(context.Background(), []string{"-model", "bogus"}, &bad); err == nil {
-		t.Error("unknown -model kind accepted")
+	// Ridge is the one estimator: any other value, the retired kernel
+	// ridge included, fails at startup, before binding, with an error
+	// that names ridge.
+	for _, kind := range []string{"kernel", "bogus"} {
+		var bad bytes.Buffer
+		err := run(context.Background(), []string{"-model", kind}, &bad)
+		if err == nil || !strings.Contains(err.Error(), "ridge") {
+			t.Errorf("-model %s: err = %v, want an error naming ridge", kind, err)
+		}
 	}
 }

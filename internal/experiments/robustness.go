@@ -112,8 +112,6 @@ func replay(trueIn *core.Instance, index map[string]int, planned *core.Schedule)
 type RobustnessOptions struct {
 	// Workers bounds the sweep worker pool (0 = all cores).
 	Workers int
-	// Kind selects the estimator (model.KindRidge default).
-	Kind string
 	// Levels scale the calibrated sigma; nil means DefaultNoiseLevels.
 	Levels []float64
 	// Heuristics selects a subset by acronym; nil means all fourteen.
@@ -128,8 +126,7 @@ func (o RobustnessOptions) levels() []float64 {
 }
 
 // RobustnessResult carries everything the Robustness driver computed,
-// for callers (cmd/experiments -model-bench) that want the numbers as
-// data rather than rendered text.
+// for callers that want the numbers as data rather than rendered text.
 type RobustnessResult struct {
 	App    string
 	Report *model.FitReport
@@ -154,14 +151,11 @@ func Robustness(w io.Writer, app string, cfg Config, opts RobustnessOptions) (*R
 	if err != nil {
 		return nil, err
 	}
-	_, rep, err := model.FitDurationModel(traces, model.FitOptions{
-		Kind: opts.Kind,
-		Seed: cfg.Seed,
-	})
+	_, rep, err := model.FitDurationModel(traces, model.FitOptions{Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(w, "%s duration-model calibration (%s)\n", app, rep.Kind)
+	fmt.Fprintf(w, "%s duration-model calibration (ridge)\n", app)
 	fmt.Fprintf(w, "  CM: n=%d  cv-mape=%.4f  cv-r2=%.6f  digest=%s\n", rep.NCM, rep.CVCM.MAPE, rep.CVCM.R2, rep.DigestCM)
 	fmt.Fprintf(w, "  CP: n=%d  cv-mape=%.4f  cv-r2=%.6f  digest=%s\n", rep.NCP, rep.CVCP.MAPE, rep.CVCP.R2, rep.DigestCP)
 	fmt.Fprintf(w, "  sigma: raw=%.6f calibrated=%.6f (floor %.2f)\n\n", rep.SigmaRaw, rep.Sigma, model.MinSigma)

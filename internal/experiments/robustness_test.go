@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"transched/internal/model"
 )
 
 func tinyConfig() Config {
@@ -100,42 +103,99 @@ func TestRobustSweepNoiseChangesRatiosNotFeasibility(t *testing.T) {
 	}
 }
 
+// TestRobustnessTableShape checks the rendered study for both
+// applications, and the fit it calibrates from: a near-exact
+// cross-validated fit (MAPE below 1 %) whose sigma sits at the
+// MinSigma floor.
 func TestRobustnessTableShape(t *testing.T) {
 	cfg := tinyConfig()
-	var out strings.Builder
-	res, err := Robustness(&out, "HF", cfg, RobustnessOptions{Levels: []float64{0, 0.5, 1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Sweeps) != 4 || len(res.Sigmas) != 4 {
-		t.Fatalf("res has %d sweeps, %d sigmas", len(res.Sweeps), len(res.Sigmas))
-	}
-	if res.Sigmas[0] != 0 || res.Sigmas[2] != res.Report.Sigma {
-		t.Errorf("sigmas = %v, want 0 and calibrated at levels 0 and 1", res.Sigmas)
-	}
-	if res.Cells != 4*2*3 { // levels * traces * multipliers
-		t.Errorf("Cells = %d, want 24", res.Cells)
-	}
-	text := out.String()
-	for _, want := range []string{
-		"duration-model calibration",
-		"cv-mape", "digest=",
-		"heuristic ranking vs duration-misprediction noise",
-		"tau vs 0",
-		"degr",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("output missing %q", want)
+	for _, app := range []string{"HF", "CCSD"} {
+		var out strings.Builder
+		res, err := Robustness(&out, app, cfg, RobustnessOptions{Levels: []float64{0, 0.5, 1, 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Sweeps) != 4 || len(res.Sigmas) != 4 {
+			t.Fatalf("%s: res has %d sweeps, %d sigmas", app, len(res.Sweeps), len(res.Sigmas))
+		}
+		if res.Sigmas[0] != 0 || res.Sigmas[2] != res.Report.Sigma {
+			t.Errorf("%s: sigmas = %v, want 0 and calibrated at levels 0 and 1", app, res.Sigmas)
+		}
+		if res.Cells != 4*2*3 { // levels * traces * multipliers
+			t.Errorf("%s: Cells = %d, want 24", app, res.Cells)
+		}
+		rep := res.Report
+		if rep.CVCM.MAPE >= 0.01 || rep.CVCP.MAPE >= 0.01 {
+			t.Errorf("%s: cv MAPE = %g (CM) / %g (CP), want < 1%%", app, rep.CVCM.MAPE, rep.CVCP.MAPE)
+		}
+		if rep.Sigma != model.MinSigma {
+			t.Errorf("%s: sigma = %g, want the MinSigma floor %g", app, rep.Sigma, model.MinSigma)
+		}
+		text := out.String()
+		for _, want := range []string{
+			app + " duration-model calibration (ridge)\n",
+			"cv-mape", "digest=",
+			"heuristic ranking vs duration-misprediction noise",
+			"tau vs 0",
+			"degr",
+		} {
+			if !strings.Contains(text, want) {
+				t.Errorf("%s: output missing %q", app, want)
+			}
+		}
+		// All 14 heuristics appear in the ranking table.
+		if !strings.Contains(text, "OOMAMR") || !strings.Contains(text, "SCMR") {
+			t.Errorf("%s: ranking table missing heuristics", app)
+		}
+		// The zero-noise column correlates perfectly with itself.
+		if !strings.Contains(text, "1.0000") {
+			t.Errorf("%s: tau row missing the 1.0000 self-correlation", app)
 		}
 	}
-	// All 14 heuristics appear in the ranking table.
-	if !strings.Contains(text, "OOMAMR") || !strings.Contains(text, "SCMR") {
-		t.Error("ranking table missing heuristics")
+}
+
+// TestRidgeTransfersAcrossApplications: both chem applications derive
+// their durations from one linear machine model (§5), so a ridge fit on
+// one application's annotated traces predicts every task of the other
+// to a small relative error, in both directions. An estimator that
+// only interpolates its training distribution fails this by orders of
+// magnitude.
+func TestRidgeTransfersAcrossApplications(t *testing.T) {
+	cfg := QuickConfig()
+	data := map[string][2]model.Dataset{}
+	for _, app := range []string{"HF", "CCSD"} {
+		traces, err := GenerateAnnotatedTraces(app, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cm, cp := model.Extract(traces)
+		data[app] = [2]model.Dataset{cm, cp}
 	}
-	// The zero-noise column correlates perfectly with itself.
-	if !strings.Contains(text, "1.0000") {
-		t.Error("tau row missing the 1.0000 self-correlation")
+	for _, split := range [][2]string{{"HF", "CCSD"}, {"CCSD", "HF"}} {
+		from, to := split[0], split[1]
+		for c, component := range []string{"CM", "CP"} {
+			p, err := model.FitRidge(data[from][c], 1e-6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := mape(p, data[to][c]); !(got < 1e-2) {
+				t.Errorf("%s -> %s %s: MAPE %g, want < 1e-2", from, to, component, got)
+			}
+		}
 	}
+}
+
+// mape is the mean absolute percentage error of p over the samples
+// with a positive target.
+func mape(p model.Predictor, ds model.Dataset) float64 {
+	sum, n := 0.0, 0
+	for i, x := range ds.X {
+		if y := ds.Y[i]; y > 0 {
+			sum += math.Abs(p.Predict(x)-y) / y
+			n++
+		}
+	}
+	return sum / float64(n)
 }
 
 func TestRankOf(t *testing.T) {

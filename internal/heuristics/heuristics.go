@@ -96,30 +96,38 @@ func identityOrder(tasks []core.Task) []int {
 
 // BinPackingOrder implements the BP heuristic (paper §4.4): tasks are
 // assigned to memory bins of the given capacity by First-Fit in submission
-// order; the sequence is all tasks of bin 0, then bin 1, and so on.
+// order; the sequence is all tasks of bin 0, then bin 1, and so on. Each
+// task's bin is recorded in one slice and the sequence is emitted by a
+// stable counting pass over the bins, so a run allocates a fixed handful
+// of slices however many bins it opens.
 func BinPackingOrder(tasks []core.Task, capacity float64) []int {
-	type bin struct {
-		free  float64
-		items []int
-	}
-	var bins []bin
+	bin := make([]int, len(tasks))
+	free := make([]float64, 0, len(tasks)) // at most one bin per task
 	for i, t := range tasks {
-		placed := false
-		for b := range bins {
-			if t.Mem <= bins[b].free+1e-9 {
-				bins[b].free -= t.Mem
-				bins[b].items = append(bins[b].items, i)
-				placed = true
-				break
-			}
+		// Negated rather than '>' so that a NaN requirement fits no open
+		// bin and opens its own, as First-Fit here always has.
+		b := 0
+		for b < len(free) && !(t.Mem <= free[b]+1e-9) {
+			b++
 		}
-		if !placed {
-			bins = append(bins, bin{free: capacity - t.Mem, items: []int{i}})
+		if b == len(free) {
+			free = append(free, capacity)
 		}
+		free[b] -= t.Mem
+		bin[i] = b
 	}
-	order := make([]int, 0, len(tasks))
-	for _, b := range bins {
-		order = append(order, b.items...)
+	// start[b] is the position of bin b's next task in the sequence.
+	start := make([]int, len(free)+1)
+	for _, b := range bin {
+		start[b+1]++
+	}
+	for b := 1; b < len(start); b++ {
+		start[b] += start[b-1]
+	}
+	order := make([]int, len(tasks))
+	for i, b := range bin {
+		order[start[b]] = i
+		start[b]++
 	}
 	return order
 }

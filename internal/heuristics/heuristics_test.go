@@ -3,8 +3,11 @@ package heuristics
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"transched/internal/chem"
+	"transched/internal/cluster"
 	"transched/internal/core"
 	"transched/internal/flowshop"
 	"transched/internal/paperdata"
@@ -106,6 +109,66 @@ func TestBinPackingOrder(t *testing.T) {
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("BinPackingOrder = %v, want %v", order, want)
+		}
+	}
+}
+
+// binPackingReference is the First-Fit order as BP first computed it,
+// one item slice per bin: the specification the counting-pass
+// BinPackingOrder must reproduce.
+func binPackingReference(tasks []core.Task, capacity float64) []int {
+	type bin struct {
+		free  float64
+		items []int
+	}
+	var bins []bin
+	for i, t := range tasks {
+		placed := false
+		for b := range bins {
+			if t.Mem <= bins[b].free+1e-9 {
+				bins[b].free -= t.Mem
+				bins[b].items = append(bins[b].items, i)
+				placed = true
+				break
+			}
+		}
+		if !placed {
+			bins = append(bins, bin{free: capacity - t.Mem, items: []int{i}})
+		}
+	}
+	order := make([]int, 0, len(tasks))
+	for _, b := range bins {
+		order = append(order, b.items...)
+	}
+	return order
+}
+
+// TestBinPackingOrderMatchesReferenceOnPaperTraces: on paper-seed HF and
+// CCSD traces at the nine paper capacities, BP's order is the
+// reference's, and a run makes a fixed handful of allocations rather
+// than one per bin.
+func TestBinPackingOrderMatchesReferenceOnPaperTraces(t *testing.T) {
+	multipliers := []float64{1, 1.125, 1.25, 1.375, 1.5, 1.625, 1.75, 1.875, 2}
+	for _, app := range []string{"HF", "CCSD"} {
+		traces, err := chem.Generate(app, cluster.Cascade(), chem.Config{Seed: 20190415, Processes: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p, tr := range traces {
+			mc := tr.MinCapacity()
+			for _, m := range multipliers {
+				got := BinPackingOrder(tr.Tasks, mc*m)
+				if want := binPackingReference(tr.Tasks, mc*m); !slices.Equal(got, want) {
+					t.Fatalf("%s trace %d at %g mc: order differs from the reference", app, p, m)
+				}
+				if p > 0 {
+					continue
+				}
+				allocs := testing.AllocsPerRun(5, func() { BinPackingOrder(tr.Tasks, mc*m) })
+				if allocs > 16 {
+					t.Errorf("%s trace 0 at %g mc: %g allocations per run, want <= 16", app, m, allocs)
+				}
+			}
 		}
 	}
 }

@@ -25,8 +25,8 @@ func constants(reg *obs.Registry) {
 	_ = reg.Gauge("serve_" + "queue_depth") // want `already registered`
 }
 
-// dynamic names (the per-stage histograms transchedbench builds in a
-// loop) are outside the literal contract.
+// dynamic names (the per-stage histograms obs.Stage.MetricName builds
+// from the stage) are outside the literal contract.
 func dynamic(reg *obs.Registry, stage string) {
 	_ = reg.Histogram("serve_stage_"+stage, obs.DefaultBuckets())
 }

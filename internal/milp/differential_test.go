@@ -344,8 +344,8 @@ func TestKnownLowerBoundStopsEarly(t *testing.T) {
 
 // BenchmarkMILPWarmStart measures the rewritten solver on a
 // window-scale knapsack; BenchmarkMILPReference is the preserved
-// seed-era solver on the same instance — the ratio is the headline
-// number scripts/bench.sh records into BENCH_MILP.json.
+// seed-era solver on the same instance — the ratio is the warm start's
+// headline number (EXPERIMENTS.md).
 func BenchmarkMILPWarmStart(b *testing.B) {
 	p := knapsackProblem(rand.New(rand.NewSource(229)), 16)
 	b.ReportAllocs()

@@ -5,11 +5,14 @@
 // have exact durations — they have estimates. This package closes that
 // gap in pure Go: per-task feature vectors (transfer bytes, memory
 // footprint, contraction flops, memory-bound traffic) ride in the trace
-// format's `#!` annotations, closed-form ridge and kernel-ridge
-// estimators fit CM and CP separately, k-fold cross-validation reports
-// MAPE/R², and a calibrated-noise perturbation engine drives the
-// robustness sweep (internal/experiments) that asks which of the 14
-// heuristics degrade gracefully when durations are mispredicted.
+// format's `#!` annotations, a closed-form ridge estimator fits CM and
+// CP separately, k-fold cross-validation reports MAPE/R², and a
+// calibrated-noise perturbation engine drives the robustness sweep
+// (internal/experiments) that asks which of the 14 heuristics degrade
+// gracefully when durations are mispredicted. Ridge is the one
+// estimator: the durations come from the paper's linear machine model,
+// so a linear fit is exact by construction and carries from one
+// application to the other (internal/experiments tests this).
 //
 // Everything here is deterministic: seeded *rand.Rand only, no wall
 // clock (the package is listed in lint.DetclockPackages), fits are

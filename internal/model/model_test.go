@@ -140,58 +140,6 @@ func TestRidgeConstantColumnAndTarget(t *testing.T) {
 	}
 }
 
-func TestKernelRidgeFitsNonlinear(t *testing.T) {
-	// y = max(x0, x2): the kink a linear model smooths over.
-	var ds Dataset
-	for i := 0; i < 300; i++ {
-		x0 := float64(i % 20)
-		x2 := float64((i * 13) % 20)
-		ds.X = append(ds.X, vec(x0, 0, x2, 0))
-		ds.Y = append(ds.Y, math.Max(x0, x2))
-	}
-	k, err := FitKernelRidge(ds, 1e-8, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var kerr, lerr float64
-	r, err := FitRidge(ds, 1e-8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, x := range ds.X {
-		kerr += math.Abs(k.Predict(x) - ds.Y[i])
-		lerr += math.Abs(r.Predict(x) - ds.Y[i])
-	}
-	if kerr >= lerr {
-		t.Errorf("kernel ridge (%g) should beat linear (%g) on max()", kerr, lerr)
-	}
-}
-
-func TestKernelRidgeSubsamplesDeterministically(t *testing.T) {
-	ds := linearDataset(maxKernelPoints + 100)
-	k1, err := FitKernelRidge(ds, 1e-6, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, err := FitKernelRidge(ds, 1e-6, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(k1.xs) != maxKernelPoints {
-		t.Errorf("retained %d points, want %d", len(k1.xs), maxKernelPoints)
-	}
-	if k1.Digest() != k2.Digest() {
-		t.Errorf("same seed, different digests: %s vs %s", k1.Digest(), k2.Digest())
-	}
-	k3, err := FitKernelRidge(ds, 1e-6, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1.Digest() == k3.Digest() {
-		t.Error("different seeds should subsample differently")
-	}
-}
-
 func TestCrossValidate(t *testing.T) {
 	ds := linearDataset(100)
 	rep, err := CrossValidate(ds, 5, 1, func(d Dataset) (Predictor, error) {
@@ -279,9 +227,6 @@ func TestPerturbTasks(t *testing.T) {
 func TestFitOptionsValidation(t *testing.T) {
 	if _, _, err := FitDurationModel(nil, FitOptions{}); err == nil {
 		t.Error("no annotated traces should fail")
-	}
-	if _, _, err := FitDurationModel(nil, FitOptions{Kind: "forest"}); err == nil {
-		t.Error("unknown kind should fail")
 	}
 }
 

@@ -20,32 +20,18 @@ import (
 // synthetic workloads lack.
 const MinSigma = 0.05
 
-// Kinds of duration estimator FitDurationModel accepts.
-const (
-	KindRidge  = "ridge"
-	KindKernel = "kernel"
-)
-
-// FitOptions configures FitDurationModel. Zero values mean: ridge,
-// lambda 1e-6, 5 folds, seed 1.
+// FitOptions configures FitDurationModel. Zero values mean: lambda
+// 1e-6, 5 folds, seed 1.
 type FitOptions struct {
-	// Kind selects the estimator: KindRidge (default) or KindKernel.
-	Kind string
 	// Lambda is the L2 regularisation strength (default 1e-6).
 	Lambda float64
 	// Folds is the cross-validation fold count (default 5).
 	Folds int
-	// Seed drives fold assignment, kernel subsampling and nothing else.
+	// Seed drives fold assignment and nothing else.
 	Seed int64
 }
 
-func (o FitOptions) withDefaults() (FitOptions, error) {
-	if o.Kind == "" {
-		o.Kind = KindRidge
-	}
-	if o.Kind != KindRidge && o.Kind != KindKernel {
-		return o, fmt.Errorf("model: unknown estimator kind %q (want %s or %s)", o.Kind, KindRidge, KindKernel)
-	}
+func (o FitOptions) withDefaults() FitOptions {
 	if o.Lambda == 0 {
 		o.Lambda = 1e-6
 	}
@@ -55,7 +41,7 @@ func (o FitOptions) withDefaults() (FitOptions, error) {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	return o, nil
+	return o
 }
 
 // DurationModel packages one fitted estimator per duration component.
@@ -77,7 +63,6 @@ func (m *DurationModel) PredictTask(x []float64) (comm, comp float64) {
 
 // FitReport carries everything the CLIs print about a fit.
 type FitReport struct {
-	Kind string
 	// NCM and NCP are the training-set sizes (identical today — every
 	// annotated task contributes to both — but reported separately so a
 	// future partial annotation doesn't silently lie).
@@ -92,24 +77,16 @@ type FitReport struct {
 }
 
 // FitDurationModel extracts the CM/CP datasets from annotated traces,
-// fits the selected estimator to each, cross-validates both, and
-// calibrates the noise level from the training residuals. Deterministic
-// for fixed traces and options.
+// fits a ridge estimator to each, cross-validates both, and calibrates
+// the noise level from the training residuals. Deterministic for fixed
+// traces and options.
 func FitDurationModel(traces []*trace.Trace, opts FitOptions) (*DurationModel, *FitReport, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return nil, nil, err
-	}
+	opts = opts.withDefaults()
 	cm, cp := Extract(traces)
 	if cm.N() == 0 {
 		return nil, nil, fmt.Errorf("model: no feature-annotated tasks in %d traces", len(traces))
 	}
-	fit := func(ds Dataset) (Predictor, error) {
-		if opts.Kind == KindKernel {
-			return FitKernelRidge(ds, opts.Lambda, opts.Seed)
-		}
-		return FitRidge(ds, opts.Lambda)
-	}
+	fit := func(ds Dataset) (Predictor, error) { return FitRidge(ds, opts.Lambda) }
 	pcm, err := fit(cm)
 	if err != nil {
 		return nil, nil, fmt.Errorf("model: CM fit: %w", err)
@@ -129,8 +106,7 @@ func FitDurationModel(traces []*trace.Trace, opts FitOptions) (*DurationModel, *
 	raw := residualSigma(pcm, cm, pcp, cp)
 	m := &DurationModel{CM: pcm, CP: pcp, Sigma: math.Max(raw, MinSigma)}
 	rep := &FitReport{
-		Kind: opts.Kind,
-		NCM:  cm.N(), NCP: cp.N(),
+		NCM: cm.N(), NCP: cp.N(),
 		CVCM: cvcm, CVCP: cvcp,
 		DigestCM: pcm.Digest(), DigestCP: pcp.Digest(),
 		SigmaRaw: raw, Sigma: m.Sigma,

@@ -501,7 +501,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 // timingHeader carries the per-stage latency breakdown on responses,
 // in Server-Timing syntax ("solve;dur=1.903, ..., total;dur=2.210",
-// milliseconds). transchedbench parses it to attribute latency.
+// milliseconds). The bench module's serve-mixed workload parses it to
+// attribute latency.
 const timingHeader = "X-Transched-Timing"
 
 // srcName names a response source for the trace record.

@@ -66,7 +66,7 @@ func Quantile(sorted []float64, p float64) float64 {
 // Rank returns the 1-based nearest rank of the q-quantile in a sample of
 // n observations: ceil(q*n), clamped to [1, n]. q outside [0, 1] clamps
 // too. This is the one rank rule shared by the obs histogram quantiles,
-// the transchedbench latency report and this package — previously each
+// the bench module's latency reports and this package — previously each
 // re-derived it by hand with off-by-one disagreements at the edges.
 // Returns 0 when n <= 0 (no observations have no rank).
 func Rank(n int64, q float64) int64 {

@@ -1,7 +1,9 @@
 #!/bin/sh
 # Tier-1 verification: build everything, vet everything (including the
-# repo's own transchedlint analyzers), check gofmt cleanliness, and run
-# the full test suite under the race detector with shuffled test order.
+# repo's own transchedlint analyzers), check gofmt cleanliness, build,
+# vet and test the benchmark module (bench/), run the full test suite
+# under the race detector with shuffled test order, and finish with one
+# short traced run of every benchmark workload.
 # The experiment drivers fan work out across goroutines
 # (internal/experiments), and internal/rts accepts concurrent
 # submissions, so -race is part of the baseline gate, not an optional
@@ -52,6 +54,17 @@ if [ -s "$tmp/lint-timing.txt" ]; then
     awk '{sum[$1] += $2} END {for (a in sum) printf "  %-11s %8.1f\n", a, sum[a]/1e6}' \
         "$tmp/lint-timing.txt" | sort -k2 -rn
 fi
+
+# The benchmark (bench/) is a module of its own, outside ./...: build,
+# vet, lint and unit-test it too, so a change to any symbol it imports
+# from the repository fails here rather than in the next benchmark run.
+(
+    cd bench
+    go build ./...
+    go vet ./...
+    go vet -vettool="$tmp/transchedlint" ./...
+    go test ./...
+)
 
 # gofmt cleanliness: a non-empty listing is a failure.
 unformatted=$(gofmt -l .)
@@ -116,4 +129,13 @@ for fig in 9 13; do
         exit 1
     fi
 done
-echo "verify: ok (build, vet, transchedlint, gofmt, race+shuffle tests, nil-tracer byte-identity, traced determinism byte-compare)"
+
+# One short traced run of every benchmark workload: it exits 1 unless
+# every output check passes and every workload's layer spans reconcile
+# with its end-to-end times (correct: true). Timings are not judged.
+if ! bash bench/run.sh --workload all --seconds 1 --trace 1 > "$tmp/bench.out" 2>&1; then
+    tail -n 40 "$tmp/bench.out" >&2
+    echo "verify: traced benchmark smoke failed (correct: false or a build error)" >&2
+    exit 1
+fi
+echo "verify: ok (build, vet, transchedlint, gofmt, bench module, race+shuffle tests, nil-tracer byte-identity, traced determinism byte-compare, traced benchmark smoke)"
