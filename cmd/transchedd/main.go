@@ -1,22 +1,15 @@
 // Command transchedd is the scheduling service daemon: it serves the
-// solver portfolio over HTTP/JSON with request micro-batching, a
-// content-addressed result cache (in memory, optionally disk-backed)
-// and admission control (SERVING.md).
+// solver portfolio over HTTP/JSON with a content-addressed result
+// cache (in memory, optionally disk-backed) and admission control
+// (SERVING.md).
 //
 // Usage:
 //
 //	transchedd [-addr localhost:8080] [-max-solves 8] [-queue 128]
-//	           [-cache 1024] [-cache-bytes N] [-cache-dir DIR]
-//	           [-batch-size N] [-batch-wait 2ms] [-model ridge]
+//	           [-cache 1024] [-cache-bytes N] [-cache-dir DIR] [-model ridge]
 //	           [-timeout 30s] [-max-timeout 2m] [-drain-timeout 30s]
 //	           [-request-trace] [-trace-out FILE] [-trace-sample N]
 //	           [-slow-request D] [-addr-file path] [-debug] [-quiet]
-//
-// With -route it runs as a shard router instead of a solver: requests
-// are forwarded to the backend that owns their content digest on a
-// consistent-hash ring, with health-aware failover:
-//
-//	transchedd -route http://h1:8080,http://h2:8080 [-replicas 64]
 //
 // With -model ridge the daemon fits a ridge duration model at
 // startup — quick-scale annotated HF+CCSD traces, golden seed 20190415,
@@ -52,10 +45,8 @@ import (
 	"io"
 	"log/slog"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -89,13 +80,9 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		cacheN     = fs.Int("cache", 1024, "result cache entries (negative disables caching)")
 		cacheBytes = fs.Int64("cache-bytes", 0, "result cache byte budget (0 = 256MiB, negative disables the byte bound)")
 		cacheDir   = fs.String("cache-dir", "", "disk-backed result store directory; the cache survives restarts")
-		batchSize  = fs.Int("batch-size", 0, "micro-batch window size: cache misses share one admission pass (0 disables)")
-		batchWait  = fs.Duration("batch-wait", 0, "longest a partially filled batch window lingers (default 2ms)")
 		timeout    = fs.Duration("timeout", 30*time.Second, "default per-request solve deadline")
 		maxTimeout = fs.Duration("max-timeout", 2*time.Minute, "cap on request-supplied timeout_ms")
 		drain      = fs.Duration("drain-timeout", 30*time.Second, "hard cutoff for the graceful drain on SIGTERM/SIGINT")
-		route      = fs.String("route", "", "comma-separated backend URLs: run as a shard router instead of a solver")
-		replicas   = fs.Int("replicas", 64, "virtual nodes per backend on the routing ring (with -route)")
 		debug      = fs.Bool("debug", false, "mount /debug/vars and /debug/pprof/ on the service port")
 		quiet      = fs.Bool("quiet", false, "disable request logging")
 		modelKind  = fs.String("model", "", "fit a duration model at startup (ridge, the one estimator) and fill in missing durations for feature-only traces")
@@ -112,9 +99,9 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		logger = slog.New(slog.NewTextHandler(stderr, nil))
 	}
 
-	// One tracer per process, shared by server and router modes; the
-	// Chrome export accumulates sampled requests and is written once the
-	// drain finishes, so the file is complete and Perfetto-loadable.
+	// One tracer per process; the Chrome export accumulates sampled
+	// requests and is written once the drain finishes, so the file is
+	// complete and Perfetto-loadable.
 	var tracer *obs.ReqTracer
 	var export *obs.Trace
 	if *reqTrace || *traceOut != "" {
@@ -147,19 +134,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		}
 	}
 
-	if *route != "" {
-		rt, err := serve.NewRouter(serve.RouterConfig{
-			Backends: strings.Split(*route, ","),
-			Replicas: *replicas,
-			Tracer:   tracer,
-			Logger:   logger,
-		})
-		if err != nil {
-			return err
-		}
-		return serveHTTP(ctx, *addr, rt.Handler(), *drain, onListen)
-	}
-
 	var dm *model.DurationModel
 	if *modelKind != "" {
 		if *modelKind != "ridge" {
@@ -186,8 +160,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		CacheBytes:      *cacheBytes,
 		Store:           st,
 		Model:           dm,
-		BatchSize:       *batchSize,
-		BatchWait:       *batchWait,
 		DefaultTimeout:  *timeout,
 		MaxTimeout:      *maxTimeout,
 		Tracer:          tracer,
@@ -225,36 +197,4 @@ func fitServingModel(stderr io.Writer) (*model.DurationModel, error) {
 		rep.NCM, rep.CVCM.MAPE, rep.DigestCM,
 		rep.NCP, rep.CVCP.MAPE, rep.DigestCP, rep.Sigma)
 	return dm, nil
-}
-
-// serveHTTP runs handler on addr until ctx cancels, then shuts down
-// gracefully with drainTimeout as the hard cutoff — the router-mode
-// twin of Server.ListenAndServe (a router holds no solver state, so
-// http.Server.Shutdown's connection drain is the whole story).
-func serveHTTP(ctx context.Context, addr string, h http.Handler, drainTimeout time.Duration, onListen func(net.Addr)) error {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	if onListen != nil {
-		onListen(lis.Addr())
-	}
-	srv := &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(lis) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	if drainTimeout <= 0 {
-		drainTimeout = 30 * time.Second
-	}
-	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		srv.Close()
-		return err
-	}
-	return nil
 }

@@ -104,12 +104,29 @@ func TestRunServesAndDrains(t *testing.T) {
 }
 
 func TestRunFlagErrors(t *testing.T) {
-	var stderr bytes.Buffer
-	if err := run(context.Background(), []string{"-nope"}, &stderr); err == nil {
-		t.Error("unknown flag accepted")
-	}
-	if err := run(context.Background(), []string{"-addr", "256.256.256.256:bad"}, &stderr); err == nil {
-		t.Error("unusable address accepted")
+	for _, c := range []struct {
+		name, wantErr string
+		args          []string
+	}{
+		{"unknown flag", "flag provided but not defined: -nope", []string{"-nope"}},
+		// The shard router and micro-batching are gone: their flags are
+		// unknown, not silently ignored.
+		{"removed route", "flag provided but not defined: -route", []string{"-route", "http://h1:8080"}},
+		{"removed replicas", "flag provided but not defined: -replicas", []string{"-replicas", "2"}},
+		{"removed batch-size", "flag provided but not defined: -batch-size", []string{"-batch-size", "4"}},
+		{"removed batch-wait", "flag provided but not defined: -batch-wait", []string{"-batch-wait", "5ms"}},
+		{"unusable address", "", []string{"-addr", "256.256.256.256:bad"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var stderr bytes.Buffer
+			err := run(context.Background(), c.args, &stderr)
+			if err == nil {
+				t.Fatalf("%v accepted", c.args)
+			}
+			if c.wantErr != "" && !strings.Contains(err.Error()+stderr.String(), c.wantErr) {
+				t.Errorf("error %q (stderr %q) does not say %q", err, stderr.String(), c.wantErr)
+			}
+		})
 	}
 }
 
@@ -201,67 +218,6 @@ func TestRunWarmRestart(t *testing.T) {
 	}
 	if !bytes.Equal(firstBody, secondBody) {
 		t.Error("disk-served response differs from the originally computed one")
-	}
-}
-
-// TestRunRouteMode: the -route daemon spreads requests over real solver
-// daemons by digest; identical requests stay sticky (the replay is a
-// backend cache hit) and responses relay through byte-identically.
-func TestRunRouteMode(t *testing.T) {
-	b1, _ := startDaemon(t)
-	b2, _ := startDaemon(t)
-	router, _ := startDaemon(t, "-route", "http://"+b1+",http://"+b2, "-batch-size", "0")
-
-	text := testTraceText(t, 23)
-	resp := solveTrace(t, router, text)
-	firstBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("routed solve: %d: %s", resp.StatusCode, firstBody)
-	}
-	backend := resp.Header.Get("X-Transched-Backend")
-	if backend != "http://"+b1 && backend != "http://"+b2 {
-		t.Fatalf("backend header = %q, want one of the two daemons", backend)
-	}
-
-	resp = solveTrace(t, router, text)
-	replayBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if got := resp.Header.Get("X-Transched-Backend"); got != backend {
-		t.Errorf("replay landed on %q, first on %q — not sticky", got, backend)
-	}
-	if got := resp.Header.Get("X-Transched-Cache"); got != "hit" {
-		t.Errorf("replay cache header = %q, want hit", got)
-	}
-	if !bytes.Equal(firstBody, replayBody) {
-		t.Error("replayed routed response differs")
-	}
-
-	// Router-mode flag validation surfaces as a startup error.
-	var stderr bytes.Buffer
-	if err := run(context.Background(), []string{"-route", ","}, &stderr); err == nil {
-		t.Error("empty backend list accepted")
-	}
-}
-
-// TestRunBatchingFlags: a daemon with micro-batching enabled answers
-// exactly like an unbatched one.
-func TestRunBatchingFlags(t *testing.T) {
-	addr, _ := startDaemon(t, "-batch-size", "4", "-batch-wait", "5ms", "-cache-bytes", "1048576")
-	text := testTraceText(t, 29)
-	resp := solveTrace(t, addr, text)
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batched daemon solve: %d: %s", resp.StatusCode, body)
-	}
-	var out struct {
-		Best struct {
-			Makespan float64 `json:"makespan"`
-		} `json:"best"`
-	}
-	if err := json.Unmarshal(body, &out); err != nil || out.Best.Makespan <= 0 {
-		t.Errorf("batched daemon response: err=%v body=%s", err, body)
 	}
 }
 

@@ -228,6 +228,18 @@ func newSquare(n int) [][]int {
 	return sq
 }
 
+// startTimes reads every task's transfer and computation start from a
+// MILP solution vector.
+func (f *formulation) startTimes(x []float64) (sVals, spVals []float64) {
+	sVals = make([]float64, len(f.sVar))
+	spVals = make([]float64, len(f.spVar))
+	for i := range f.sVar {
+		sVals[i] = x[f.sVar[i]]
+		spVals[i] = x[f.spVar[i]]
+	}
+	return sVals, spVals
+}
+
 // prefixBooleans fixes a/b/c variables whose value follows from committed
 // event times, tightening bounds in place.
 func (f *formulation) prefixBooleans(lower, upper []float64) {

@@ -144,12 +144,7 @@ func Solve(in *core.Instance, opts Options) (*Result, error) {
 		usedObj := fbObj
 		switch sol.Status {
 		case milp.Optimal, milp.Feasible:
-			sVals = make([]float64, len(wts))
-			spVals = make([]float64, len(wts))
-			for i := range wts {
-				sVals[i] = sol.X[f.sVar[i]]
-				spVals[i] = sol.X[f.spVar[i]]
-			}
+			sVals, spVals = f.startTimes(sol.X)
 			usedObj = sol.Objective
 		case milp.Infeasible:
 			// Nothing beat the greedy incumbent; keep the fallback values.
@@ -241,6 +236,14 @@ func SolveExact(in *core.Instance, maxNodes int) (*core.Schedule, *milp.Solution
 // SolveExactWith is SolveExact with the full option set: Workers fans the
 // branch and bound out (bit-identical result at every setting), and
 // Deadline/Clock bound the solve the same way they bound a window.
+//
+// The search is always seeded with the greedy completion (K and
+// NoIncumbentSeed are per-window settings and do not apply), so every
+// valid instance gets a schedule: when no MILP solution beats the seed,
+// the greedy schedule is returned and the Solution describes it —
+// Optimal when the search drained (the seed is proven optimal),
+// Feasible when a budget stopped it, with Bound the proven lower bound
+// either way.
 func SolveExactWith(in *core.Instance, opts Options) (*core.Schedule, *milp.Solution, error) {
 	if err := in.Validate(); err != nil {
 		return nil, nil, err
@@ -254,8 +257,11 @@ func SolveExactWith(in *core.Instance, opts Options) (*core.Schedule, *milp.Solu
 	if maxNodes <= 0 {
 		maxNodes = 500000
 	}
+	fbS, fbSp, fbObj := greedyCompletion(wts, in.Capacity)
 	sol, err := milp.Solve(&f.prob, milp.Options{
 		MaxNodes:           maxNodes,
+		IncumbentObjective: fbObj + 1e-7,
+		IncumbentSet:       true,
 		Workers:            opts.Workers,
 		Deadline:           opts.Deadline,
 		Clock:              opts.Clock,
@@ -265,16 +271,25 @@ func SolveExactWith(in *core.Instance, opts Options) (*core.Schedule, *milp.Solu
 	if err != nil {
 		return nil, nil, err
 	}
-	if sol.Status != milp.Optimal && sol.Status != milp.Feasible {
+	sVals, spVals := fbS, fbSp
+	switch sol.Status {
+	case milp.Optimal, milp.Feasible:
+		sVals, spVals = f.startTimes(sol.X)
+	case milp.Infeasible, milp.Expired:
+		// Nothing beat the seed. The same intEps-sized slack as a
+		// window's gap tells a drained tree (bound closed on the seed)
+		// from a budget stop.
+		sol.Objective = fbObj
+		sol.Status = milp.Feasible
+		if sol.Bound >= fbObj-1e-6 {
+			sol.Status, sol.Bound = milp.Optimal, fbObj
+		}
+	default:
 		return nil, sol, fmt.Errorf("lpsched: exact solve ended with status %v", sol.Status)
 	}
 	s := core.NewSchedule(in.Capacity)
 	for i := range wts {
-		s.Append(core.Assignment{
-			Task:      wts[i].task,
-			CommStart: sol.X[f.sVar[i]],
-			CompStart: sol.X[f.spVar[i]],
-		})
+		s.Append(core.Assignment{Task: wts[i].task, CommStart: sVals[i], CompStart: spVals[i]})
 	}
 	return repair(s), sol, nil
 }

@@ -14,7 +14,7 @@ import (
 // Request tracing: per-request span trees with per-stage latency
 // attribution for the serving tier. Every request gets a ReqTrace
 // carrying its SpanContext and one span per serving stage (decode,
-// admission queue, batch window, cache, disk store, solve, encode);
+// admission queue, cache, disk store, solve, encode);
 // completed traces land in bounded rings behind /debug/requests, feed
 // fixed-name serve_stage_seconds_* histograms, and are (sampled)
 // exportable as Chrome trace events — one track per stage — loadable
@@ -30,16 +30,10 @@ import (
 type Stage uint8
 
 const (
-	// StageRouter is time spent forwarding to (and waiting on) a shard
-	// backend, recorded by the router process only.
-	StageRouter Stage = iota
 	// StageDecode is request parse + validation + content digest.
-	StageDecode
+	StageDecode Stage = iota
 	// StageQueue is the admission wait for a solver slot.
 	StageQueue
-	// StageBatch is time parked in a micro-batch window beyond the
-	// admission wait (window fill plus earlier members' solves).
-	StageBatch
 	// StageCache is result-cache bookkeeping, including the wait when
 	// joining an identical in-flight solve.
 	StageCache
@@ -56,8 +50,7 @@ const (
 )
 
 var stageNames = [numStages]string{
-	"router", "decode", "queue", "batch", "cache",
-	"store_read", "store_write", "solve", "encode",
+	"decode", "queue", "cache", "store_read", "store_write", "solve", "encode",
 }
 
 // String returns the stage's fixed name.
@@ -176,8 +169,8 @@ func (t *ReqTracer) Start(op string, parent SpanContext) *ReqTrace {
 }
 
 // ReqTrace is one request's span tree. Methods are safe for concurrent
-// use (a batch flush records stages while the submitting handler owns
-// the trace) and no-ops on a nil receiver.
+// use (/debug/requests renders active traces while their handlers
+// record) and no-ops on a nil receiver.
 type ReqTrace struct {
 	tracer *ReqTracer
 	op     string
@@ -185,15 +178,14 @@ type ReqTrace struct {
 	parent SpanID
 	start  time.Time
 
-	mu      sync.Mutex
-	stages  [numStages]time.Duration
-	counts  [numStages]uint32
-	spans   []SpanRec
-	digest  string
-	cache   string
-	backend string
-	status  int
-	done    bool
+	mu     sync.Mutex
+	stages [numStages]time.Duration
+	counts [numStages]uint32
+	spans  []SpanRec
+	digest string
+	cache  string
+	status int
+	done   bool
 }
 
 // SpanRec is one recorded span. Shared spans (a singleflight joiner's
@@ -241,8 +233,7 @@ func (t StageTimer) End() {
 }
 
 // ObserveStage records a stage span whose bounds were measured
-// externally (the batch flush attributes queue and window time to each
-// member this way).
+// externally.
 func (r *ReqTrace) ObserveStage(s Stage, start time.Time, d time.Duration) {
 	if r == nil {
 		return
@@ -257,8 +248,8 @@ func (r *ReqTrace) record(s Stage, start time.Time, d time.Duration, shared bool
 	rec := SpanRec{Stage: s, ID: NewSpanID(), Start: start, Dur: d, Shared: shared}
 	r.mu.Lock()
 	if r.done {
-		// A batch flush can outlive a member whose context expired; its
-		// late spans have nowhere to go once the trace is retired.
+		// Spans recorded after Finish have nowhere to go once the
+		// trace is retired.
 		r.mu.Unlock()
 		return
 	}
@@ -340,17 +331,6 @@ func (r *ReqTrace) SetCacheSource(src string) {
 	r.mu.Unlock()
 }
 
-// SetBackend records the shard backend that served the request
-// (router side).
-func (r *ReqTrace) SetBackend(b string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.backend = b
-	r.mu.Unlock()
-}
-
 // TimingHeader renders the X-Transched-Timing response header in
 // Server-Timing style: "decode;dur=0.051, solve;dur=1.903, ...,
 // total;dur=2.210", durations in milliseconds, stages in taxonomy
@@ -424,7 +404,6 @@ func (r *ReqTrace) summaryLocked(total time.Duration, active bool) ReqSummary {
 		Status:       r.status,
 		Digest:       r.digest,
 		Cache:        r.cache,
-		Backend:      r.backend,
 	}
 	if !r.parent.IsZero() {
 		sum.Parent = r.parent.String()
@@ -488,7 +467,6 @@ type ReqSummary struct {
 	Status        int           `json:"status,omitempty"`
 	Digest        string        `json:"digest,omitempty"`
 	Cache         string        `json:"cache,omitempty"`
-	Backend       string        `json:"backend,omitempty"`
 	Stages        []StageDur    `json:"stages,omitempty"`
 	Spans         []SpanSummary `json:"spans,omitempty"`
 }
@@ -639,9 +617,6 @@ func RequestsHandler(t *ReqTracer) http.Handler {
 				}
 				if s.Cache != "" {
 					fmt.Fprintf(w, " cache=%s", s.Cache)
-				}
-				if s.Backend != "" {
-					fmt.Fprintf(w, " backend=%s", s.Backend)
 				}
 				fmt.Fprintln(w)
 				for _, st := range s.Stages {

@@ -25,7 +25,6 @@ func TestNilTracerUniversalNoOp(t *testing.T) {
 	r.SetDigest("d")
 	r.SetStatus(200)
 	r.SetCacheSource("memory")
-	r.SetBackend("b")
 	r.AdoptSolve(SpanRef{})
 	if _, ok := r.SolveRef(); ok {
 		t.Error("nil trace has a solve ref")
@@ -84,7 +83,7 @@ func TestStageRecordingFeedsHistogramsAndHeader(t *testing.T) {
 			t.Errorf("%s count = %d, want %d", name, got, want)
 		}
 	}
-	// All nine stage histograms are pre-registered, traffic or not.
+	// All seven stage histograms are pre-registered, traffic or not.
 	for s := 0; s < numStages; s++ {
 		found := false
 		for _, m := range snap.Metrics {
@@ -132,7 +131,7 @@ func TestFinishIdempotentAndLateSpansDropped(t *testing.T) {
 	r.ObserveStage(StageSolve, time.Now(), time.Millisecond)
 	r.Finish()
 	r.Finish() // idempotent
-	// A batch flush outliving the member records into a retired trace.
+	// A span recorded after Finish lands in a retired trace.
 	r.ObserveStage(StageQueue, time.Now(), time.Second)
 	r.AdoptSolve(SpanRef{ID: NewSpanID()})
 
@@ -328,4 +327,60 @@ func absDiff(a, b float64) float64 {
 		return a - b
 	}
 	return b - a
+}
+
+// TestStageTaxonomyWireNames pins the seven stage names: they are a
+// wire contract (the X-Transched-Timing header, the
+// serve_stage_seconds_* histograms and /debug/requests all carry them),
+// and each stage recorded alone surfaces under its own name only.
+func TestStageTaxonomyWireNames(t *testing.T) {
+	want := []struct {
+		stage Stage
+		name  string
+	}{
+		{StageDecode, "decode"},
+		{StageQueue, "queue"},
+		{StageCache, "cache"},
+		{StageStoreRead, "store_read"},
+		{StageStoreWrite, "store_write"},
+		{StageSolve, "solve"},
+		{StageEncode, "encode"},
+	}
+	if len(want) != numStages {
+		t.Fatalf("taxonomy has %d stages, test pins %d", numStages, len(want))
+	}
+	for _, w := range want {
+		t.Run(w.name, func(t *testing.T) {
+			if got := w.stage.String(); got != w.name {
+				t.Fatalf("Stage(%d).String() = %q, want %q", w.stage, got, w.name)
+			}
+			if got := w.stage.MetricName(); got != "serve_stage_seconds_"+w.name {
+				t.Errorf("MetricName() = %q", got)
+			}
+			reg := NewRegistry()
+			tr := NewReqTracer(ReqTracerConfig{Registry: reg})
+			r := tr.Start("solve", SpanContext{})
+			r.StartStage(w.stage).End()
+			if h := r.TimingHeader(); !strings.HasPrefix(h, w.name+";dur=") || strings.Count(h, ";dur=") != 2 {
+				t.Errorf("timing header %q: want only %s and total", h, w.name)
+			}
+			r.Finish()
+			for _, m := range reg.Snapshot().Metrics {
+				wantCount := int64(0)
+				if m.Name == w.stage.MetricName() {
+					wantCount = 1
+				}
+				if m.Count != wantCount {
+					t.Errorf("%s count = %d, want %d", m.Name, m.Count, wantCount)
+				}
+			}
+			stages := tr.Snapshot().Recent[0].Stages
+			if len(stages) != 1 || stages[0].Stage != w.name {
+				t.Errorf("/debug/requests stages = %+v, want one %s entry", stages, w.name)
+			}
+		})
+	}
+	if got := Stage(numStages).String(); got != "unknown" {
+		t.Errorf("out-of-range stage renders %q, want unknown", got)
+	}
 }

@@ -10,9 +10,9 @@ import (
 // Span identity for request tracing. A request entering the serving
 // tier is assigned a 128-bit trace ID (constant across every process
 // the request touches) and a 64-bit span ID (one per unit of work).
-// The shard router mints the trace ID and forwards it in the
-// X-Transched-Trace header; backends continue it, so a sharded request
-// yields one coherent trace across processes (OBSERVABILITY.md).
+// A client may mint the trace ID itself and send it in the
+// X-Transched-Trace header; the daemon continues it, so the client's
+// and the daemon's records share one trace (OBSERVABILITY.md).
 //
 // IDs come from a per-process splitmix64 stream over an atomic
 // counter: one wall-clock read seeds the stream at init and every
@@ -59,9 +59,9 @@ type SpanContext struct {
 func (c SpanContext) Valid() bool { return !c.Trace.IsZero() && !c.Span.IsZero() }
 
 // TraceHeader is the propagation header: "<32 hex trace>-<16 hex span>".
-// The router injects it on forwarded requests, backends continue the
-// trace ID it carries and record the span ID as their parent, and
-// servers echo the header on responses so clients can correlate.
+// A client may send it on a request; the server continues the trace ID
+// it carries, records the span ID as its parent, and echoes the header
+// on responses so clients can correlate.
 const TraceHeader = "X-Transched-Trace"
 
 // HeaderValue renders the context in the TraceHeader wire form.

@@ -111,12 +111,11 @@ func (a *admission) BeginDrain() {
 // Release frees a slot taken by a successful Acquire.
 //
 // The inflight gauge moves by exactly ±1 with each slot transition, in
-// here rather than at the call sites: the old scheme had server and
-// batcher each publish Set(len(a.slots)) around their solves, and two
-// goroutines interleaving read-then-Set could publish a stale count
-// that left serve_inflight_solves nonzero at idle (the same race the
-// depth gauge's comment on Acquire describes — and the one the
-// gaugecas analyzer now rejects outright).
+// here rather than at the call site: publishing Set(len(a.slots))
+// around each solve lets two goroutines interleaving read-then-Set
+// publish a stale count that leaves serve_inflight_solves nonzero at
+// idle (the same race the depth gauge's comment on Acquire describes —
+// and the one the gaugecas analyzer rejects outright).
 func (a *admission) Release() {
 	<-a.slots
 	a.inflight.Add(-1)

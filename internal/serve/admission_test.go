@@ -170,7 +170,7 @@ func TestAdmissionDepthGaugeStorm(t *testing.T) {
 		t.Errorf("serve_queue_depth after storm = %v, want exactly 0", got)
 	}
 	// Same contract for the occupied-slot gauge, which used to be
-	// published by read-then-Set at the server and batcher call sites:
+	// published by read-then-Set at the call sites:
 	// with the ±1 Adds inside Acquire/Release it must also settle on
 	// exactly zero once the storm drains.
 	if got := inflight.Value(); got != 0 {

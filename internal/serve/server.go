@@ -42,14 +42,6 @@ type Config struct {
 	// it, so a restarted daemon keeps its hit rate (SERVING.md). The
 	// caller owns the store and its Close.
 	Store *store.Store
-	// BatchSize, when > 0, enables micro-batching: cache-missing
-	// requests are collected into windows of at most this many and each
-	// window is flushed through one admission slot. Zero disables
-	// batching (every miss takes its own slot).
-	BatchSize int
-	// BatchWait is the longest a partially filled batch window lingers
-	// before flushing (default 2ms when batching is enabled).
-	BatchWait time.Duration
 	// DefaultTimeout is the per-request solve deadline when the request
 	// does not carry timeout_ms (default 30s).
 	DefaultTimeout time.Duration
@@ -95,9 +87,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 256 << 20
 	}
-	if c.BatchSize > 0 && c.BatchWait <= 0 {
-		c.BatchWait = 2 * time.Millisecond
-	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
 	}
@@ -115,22 +104,19 @@ func (c Config) withDefaults() Config {
 
 // Server is the scheduling service: it accepts trace instances over
 // HTTP/JSON, solves them through the transched facade under admission
-// control — optionally micro-batched — and caches results by content
-// address in memory and, when configured, on disk. Use New, mount
-// Handler, and Drain on shutdown.
+// control, and caches results by content address in memory and, when
+// configured, on disk. Use New, mount Handler, and Drain on shutdown.
 type Server struct {
-	cfg     Config
-	cache   *cache
-	adm     *admission
-	batcher *batcher
-	tracer  *obs.ReqTracer // nil when tracing is off
+	cfg    Config
+	cache  *cache
+	adm    *admission
+	tracer *obs.ReqTracer // nil when tracing is off
 
 	// mu orders request admission against drain: once draining, no new
 	// request enters, and Drain's wait covers everything that did.
 	mu       sync.Mutex
 	draining bool
 	inflight sync.WaitGroup
-	stopOnce sync.Once
 
 	// onSolve, when non-nil, runs at the start of every computed solve,
 	// after the solver slot is acquired — a test seam for holding a
@@ -187,9 +173,6 @@ func New(cfg Config) *Server {
 		reg.Counter("serve_store_put_errors_total"))
 	s.adm = newAdmission(cfg.MaxConcurrent, cfg.MaxQueue,
 		reg.Gauge("serve_queue_depth"), reg.Gauge("serve_inflight_solves"))
-	if cfg.BatchSize > 0 {
-		s.batcher = newBatcher(cfg.BatchSize, cfg.BatchWait, s.adm, s.solveOne, reg)
-	}
 	return s
 }
 
@@ -283,11 +266,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		// Every handler has returned, so nothing can submit to the
-		// batcher any more: stop its collector.
-		if s.batcher != nil {
-			s.stopOnce.Do(s.batcher.close)
-		}
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -321,10 +299,9 @@ func (s *Server) shedResponse(w http.ResponseWriter, status int, msg string) {
 }
 
 // solveOne is the admission-free inner solve: portfolio (or heuristic,
-// or rts-batched) solve plus deterministic marshal. Both the unbatched
-// path and the micro-batcher run exactly this, which is what makes
-// batched responses byte-identical to unbatched ones. rt receives the
-// solve and encode spans (nil when tracing is off).
+// or rts-batched) solve plus deterministic marshal, so equal requests
+// get byte-identical bodies. rt receives the solve and encode spans
+// (nil when tracing is off).
 func (s *Server) solveOne(ctx context.Context, p *parsedRequest, rt *obs.ReqTrace) ([]byte, error) {
 	if s.onSolve != nil {
 		s.onSolve()
@@ -360,9 +337,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.inflight.Done()
 
-	// The request trace: continue the router's trace when the header
-	// carries one, mint a root otherwise. rt is nil with tracing off,
-	// and every use below is a nil-safe no-op.
+	// The request trace: continue a client-supplied trace when the
+	// header carries one, mint a root otherwise. rt is nil with tracing
+	// off, and every use below is a nil-safe no-op.
 	var parent obs.SpanContext
 	if s.tracer != nil {
 		parent, _ = obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
@@ -409,9 +386,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	dt.End()
 
 	body, src, err := s.cache.Do(ctx, p.digest, rt, func() ([]byte, error) {
-		if s.batcher != nil {
-			return s.batcher.do(ctx, p, rt)
-		}
 		qt := rt.StartStage(obs.StageQueue)
 		err := s.adm.Acquire(ctx)
 		qt.End()

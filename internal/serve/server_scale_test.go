@@ -16,61 +16,6 @@ import (
 	"transched/internal/serve/store"
 )
 
-// TestServeBatchedByteIdenticalToUnbatched is the micro-batching
-// acceptance test: a window of distinct requests flushed through ONE
-// admission pass produces, for every member, exactly the bytes an
-// unbatched serial solve produces. The 2s BatchWait makes the size
-// trigger the only plausible one, so the whole burst rides one flush.
-func TestServeBatchedByteIdenticalToUnbatched(t *testing.T) {
-	const n = 4
-	cfg := testConfig()
-	cfg.BatchSize = n
-	cfg.BatchWait = 2 * time.Second
-	cfg.MaxConcurrent = 2
-	s := New(cfg)
-	h := s.Handler()
-
-	texts := make([]string, n)
-	for i := 0; i < n; i++ {
-		texts[i] = genTraceText(t, 200+int64(i), 15)
-	}
-	codes := make([]int, n)
-	bodies := make([][]byte, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rec := postRaw(h, "/solve?capacity=1.5", texts[i])
-			codes[i] = rec.Code
-			bodies[i] = rec.Body.Bytes()
-		}(i)
-	}
-	wg.Wait()
-
-	for i := 0; i < n; i++ {
-		if codes[i] != http.StatusOK {
-			t.Fatalf("member %d: status %d: %s", i, codes[i], bodies[i])
-		}
-		want := referenceBody(t, texts[i], transched.SolveOptions{CapacityMultiplier: 1.5})
-		if !bytes.Equal(bodies[i], want) {
-			t.Errorf("batched member %d differs from unbatched serial solve:\nbatched:   %s\nunbatched: %s",
-				i, bodies[i], want)
-		}
-	}
-
-	reg := s.cfg.Registry
-	if got := reg.Counter("serve_batch_flushes_total").Value(); got != 1 {
-		t.Errorf("flushes = %d, want 1 (the whole burst in one window)", got)
-	}
-	if got := reg.Counter("serve_batch_requests_total").Value(); got != n {
-		t.Errorf("batched requests = %d, want %d", got, n)
-	}
-	if got := reg.Counter("serve_cache_misses_total").Value(); got != n {
-		t.Errorf("misses = %d, want %d (all distinct)", got, n)
-	}
-}
-
 // TestServeWarmRestartRetainsHitRate is the disk-tier acceptance test:
 // a daemon restarted over the same cache directory answers previously
 // solved instances from the store, retaining >= 90% of its hit rate
@@ -154,8 +99,8 @@ func TestServeWarmRestartRetainsHitRate(t *testing.T) {
 	}
 }
 
-// TestServeDrainShedsQueuedWaiters is the graceful-drain coverage the
-// ISSUE calls out: at drain time a request parked in the admission
+// TestServeDrainShedsQueuedWaiters is the graceful-drain coverage: at
+// drain time a request parked in the admission
 // queue is shed promptly with 503 + Retry-After, the in-flight solve
 // completes with 200, and Drain returns cleanly.
 func TestServeDrainShedsQueuedWaiters(t *testing.T) {

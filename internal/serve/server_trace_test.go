@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -103,6 +102,65 @@ func TestServeTraceHeadersOnResponse(t *testing.T) {
 	}
 	if !foundParent {
 		t.Error("/debug/requests does not show the continued request's parent span")
+	}
+}
+
+// TestServeMalformedTraceHeaderMintsRoot: X-Transched-Trace is
+// untrusted client input. A value that does not parse is ignored, not
+// rejected: the request is served with the same bytes as one without
+// the header, under a freshly minted root trace with no parent.
+func TestServeMalformedTraceHeaderMintsRoot(t *testing.T) {
+	h := New(tracedConfig()).Handler()
+	text := genTraceText(t, 952, 10)
+	ref := postRaw(h, "/solve?capacity=1.5", text)
+	if ref.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", ref.Code, ref.Body.String())
+	}
+	valid := obs.SpanContext{Trace: obs.NewTraceID(), Span: obs.NewSpanID()}.HeaderValue()
+	for _, c := range []struct{ name, value string }{
+		{"truncated", valid[:48]},
+		{"wrong separator", strings.Replace(valid, "-", "_", 1)},
+		{"non-hex span", valid[:33] + "zzzzzzzzzzzzzzzz"},
+		{"zero trace", strings.Repeat("0", 32) + valid[32:]},
+		{"zero span", valid[:33] + strings.Repeat("0", 16)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			req := httptest.NewRequest(http.MethodPost, "/solve?capacity=1.5", strings.NewReader(text))
+			req.Header.Set(obs.TraceHeader, c.value)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d with header %q: %s", rec.Code, c.value, rec.Body.String())
+			}
+			if !bytes.Equal(rec.Body.Bytes(), ref.Body.Bytes()) {
+				t.Error("a malformed trace header changed the response body")
+			}
+			got, ok := obs.ParseTraceHeader(rec.Header().Get(obs.TraceHeader))
+			if !ok {
+				t.Fatalf("response %s %q does not parse", obs.TraceHeader, rec.Header().Get(obs.TraceHeader))
+			}
+			if strings.Contains(c.value, got.Trace.String()) {
+				t.Errorf("trace %s taken from the malformed header %q", got.Trace, c.value)
+			}
+			rec = httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/requests?format=json", nil))
+			var snap obs.ReqTracerSnapshot
+			if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+				t.Fatalf("/debug/requests?format=json: %v", err)
+			}
+			found := false
+			for _, sum := range snap.Recent {
+				if sum.Trace == got.Trace.String() {
+					found = true
+					if sum.Parent != "" {
+						t.Errorf("root trace records parent %s from a malformed header", sum.Parent)
+					}
+				}
+			}
+			if !found {
+				t.Errorf("trace %s absent from /debug/requests", got.Trace)
+			}
+		})
 	}
 }
 
@@ -207,111 +265,4 @@ func TestSingleflightJoinersShareSolveSpan(t *testing.T) {
 			t.Error("shared solve counted toward the joiner's stage durations")
 		}
 	}
-}
-
-// TestRouterTraceSurvivesFailover: when the digest's owner is dead and
-// the request re-routes, the trace ID minted by the router reaches the
-// failover backend intact — one trace across re-routes and processes.
-func TestRouterTraceSurvivesFailover(t *testing.T) {
-	backendTracer := obs.NewReqTracer(obs.ReqTracerConfig{})
-	backendCfg := testConfig()
-	backendCfg.Tracer = backendTracer
-	live := httptest.NewServer(New(backendCfg).Handler())
-	t.Cleanup(live.Close)
-
-	dead := httptest.NewServer(http.NotFoundHandler())
-	deadURL := dead.URL
-	dead.Close() // transport failures from now on
-
-	routerTracer := obs.NewReqTracer(obs.ReqTracerConfig{})
-	rt, err := NewRouter(RouterConfig{
-		Backends: []string{deadURL, live.URL},
-		Registry: obs.NewRegistry(),
-		Tracer:   routerTracer,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := rt.Handler()
-
-	// Find an instance owned by the dead backend, so serving it must
-	// fail over; every instance works if the live one owns it, so keep
-	// drawing until placement forces a re-route.
-	var text string
-	for seed := int64(0); ; seed++ {
-		cand := genTraceText(t, 7000+seed, 10)
-		p, err := parseRequestText(cand)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rt.ring.owner(p) == deadURL {
-			text = cand
-			break
-		}
-	}
-
-	rec := postRaw(h, "/solve?capacity=1.5", text)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("failover solve: status %d: %s", rec.Code, rec.Body.String())
-	}
-	if got := rec.Header().Get("X-Transched-Backend"); got != live.URL {
-		t.Fatalf("served by %s, want failover to %s", got, live.URL)
-	}
-	sc, ok := obs.ParseTraceHeader(rec.Header().Get(obs.TraceHeader))
-	if !ok {
-		t.Fatal("failover response has no parseable trace header")
-	}
-	timing := rec.Header().Get("X-Transched-Timing")
-	if !strings.Contains(timing, "router;dur=") || !strings.Contains(timing, "solve;dur=") {
-		t.Errorf("relayed timing %q misses router or backend stages", timing)
-	}
-
-	// The router's own view: a completed route trace with that ID, a
-	// recorded backend, and a router stage covering both attempts.
-	routerSnap := routerTracer.Snapshot()
-	foundRoute := false
-	for _, sum := range routerSnap.Recent {
-		if sum.Trace == sc.Trace.String() && sum.Backend == live.URL {
-			foundRoute = true
-			routerStage := false
-			for _, st := range sum.Stages {
-				if st.Stage == "router" && st.Count >= 2 {
-					routerStage = true
-				}
-			}
-			if !routerStage {
-				t.Error("router summary does not count both forward attempts")
-			}
-		}
-	}
-	if !foundRoute {
-		t.Errorf("router tracer has no completed trace %s for backend %s", sc.Trace, live.URL)
-	}
-
-	// The backend's view: same trace ID, continued (parent set).
-	backendSnap := backendTracer.Snapshot()
-	foundBackend := false
-	for _, sum := range backendSnap.Recent {
-		if sum.Trace == sc.Trace.String() && sum.Parent != "" {
-			foundBackend = true
-		}
-	}
-	if !foundBackend {
-		t.Errorf("backend tracer has no continued trace %s", sc.Trace)
-	}
-
-	if got := rt.cfg.Registry.Counter("route_failovers_total").Value(); got != 1 {
-		t.Errorf("failovers = %d, want 1", got)
-	}
-}
-
-// parseRequestText digests a raw v1 trace body the way the router does,
-// returning the ring key.
-func parseRequestText(text string) (uint64, error) {
-	req := httptest.NewRequest(http.MethodPost, "/solve?capacity=1.5", strings.NewReader(text))
-	p, err := parseRequest(req)
-	if err != nil {
-		return 0, err
-	}
-	return strconv.ParseUint(p.digest, 16, 64)
 }

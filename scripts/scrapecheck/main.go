@@ -14,10 +14,12 @@
 //
 //	scrapecheck -requests URL [-trace HEX32] [-min-coverage F]
 //	    GET URL and parse it as the /debug/requests?format=json
-//	    document. With -trace, the named trace ID must appear in some
-//	    ring; with -min-coverage, that trace's stage-duration sum must
-//	    cover at least F of its total span — the accounting identity
-//	    OBSERVABILITY.md documents.
+//	    document. Every request's stage_coverage must equal the sum of
+//	    its stage seconds over total_seconds (to 1e-6 relative) — the
+//	    accounting identity OBSERVABILITY.md documents, recomputed
+//	    rather than trusted. With -trace, the named trace ID must
+//	    appear in some ring; with -min-coverage, that trace's
+//	    recomputed coverage must be at least F.
 package main
 
 import (
@@ -25,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"strconv"
@@ -159,6 +162,20 @@ type reqSummary struct {
 	} `json:"stages"`
 }
 
+// coverage is the share of the request's span its stages account for,
+// computed from the stages themselves (0 for an empty span, as the
+// server reports it).
+func (s reqSummary) coverage() float64 {
+	if s.TotalSeconds <= 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, st := range s.Stages {
+		sum += st.Seconds
+	}
+	return sum / s.TotalSeconds
+}
+
 // checkRequests validates url as the /debug/requests JSON document.
 func checkRequests(url, traceID string, minCoverage float64) error {
 	body, err := get(url)
@@ -174,6 +191,12 @@ func checkRequests(url, traceID string, minCoverage float64) error {
 		return fmt.Errorf("document does not parse as a requests snapshot: %w", err)
 	}
 	all := append(append(append([]reqSummary(nil), doc.Active...), doc.Slowest...), doc.Recent...)
+	for _, sum := range all {
+		if got := sum.coverage(); math.Abs(got-sum.StageCoverage) > 1e-6*math.Max(got, sum.StageCoverage) {
+			return fmt.Errorf("trace %s: reported stage coverage %.6f disagrees with its stages, which sum to %.6f of the span",
+				sum.Trace, sum.StageCoverage, got)
+		}
+	}
 	if traceID == "" {
 		fmt.Printf("scrapecheck: ok (%d active, %d slowest, %d recent)\n",
 			len(doc.Active), len(doc.Slowest), len(doc.Recent))
@@ -183,12 +206,13 @@ func checkRequests(url, traceID string, minCoverage float64) error {
 		if sum.Trace != traceID {
 			continue
 		}
-		if minCoverage > 0 && sum.StageCoverage < minCoverage {
+		cov := sum.coverage()
+		if minCoverage > 0 && cov < minCoverage {
 			return fmt.Errorf("trace %s: stage coverage %.3f below %.3f (stages account for too little of the %.3fms span)",
-				traceID, sum.StageCoverage, minCoverage, sum.TotalSeconds*1e3)
+				traceID, cov, minCoverage, sum.TotalSeconds*1e3)
 		}
 		fmt.Printf("scrapecheck: ok (trace %s, %d stages, coverage %.3f)\n",
-			traceID, len(sum.Stages), sum.StageCoverage)
+			traceID, len(sum.Stages), cov)
 		return nil
 	}
 	return fmt.Errorf("trace %s absent from %s", traceID, url)

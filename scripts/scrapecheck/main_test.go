@@ -75,6 +75,17 @@ func TestCheckRequests(t *testing.T) {
 			wantErr: "trace cccc absent"},
 		{name: "stage sum below min-coverage", body: requestsDoc, trace: "bbbb", minCoverage: 0.95,
 			wantErr: "stage coverage 0.400 below 0.950"},
+		{name: "reported coverage contradicts the stages", trace: "dddd", minCoverage: 0.95,
+			body: `{"recent": [{"trace": "dddd", "total_seconds": 0.010, "stage_coverage": 0.99,
+				"stages": [{"stage": "solve", "seconds": 0.004}]}]}`,
+			wantErr: "reported stage coverage 0.990000 disagrees with its stages, which sum to 0.400000"},
+		{name: "reported coverage agrees within rounding", trace: "eeee", minCoverage: 0.35,
+			body: `{"recent": [{"trace": "eeee", "total_seconds": 0.010, "stage_coverage": 0.4000001,
+				"stages": [{"stage": "solve", "seconds": 0.004}]}]}`},
+		{name: "contradiction fails without a trace filter",
+			body: `{"active": [{"trace": "ffff", "total_seconds": 0.010, "stage_coverage": 0.99,
+				"stages": [{"stage": "queue", "seconds": 0.002}]}]}`,
+			wantErr: "trace ffff: reported stage coverage 0.990000 disagrees with its stages, which sum to 0.200000"},
 		{name: "not a requests document", body: "[1, 2]",
 			wantErr: "does not parse as a requests snapshot"},
 	} {

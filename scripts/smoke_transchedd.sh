@@ -3,7 +3,8 @@
 # on an ephemeral port, solve a generated trace over HTTP, and check
 # the answer against the serial cmd/transched CLI on the same instance.
 # Then exercise the cache (second identical request must be a
-# byte-identical hit) and the graceful drain (SIGTERM exits 0).
+# byte-identical hit), the graceful drain (SIGTERM exits 0), the disk
+# store across a restart, and request tracing.
 #
 # Makespans are compared at 6 significant digits — the CLI prints
 # %14.6g while the daemon returns the full float64 in JSON, so both
@@ -130,66 +131,33 @@ kill -TERM "$pid"
 wait "$pid" || fail "restarted daemon exited non-zero on SIGTERM"
 pid=""
 
-# Drain sheds queued waiters: with micro-batching lingering a window
-# for 5s, a request parked in the window when SIGTERM lands must be
-# shed promptly with 503 + Retry-After — not solved, not hung — and
-# the daemon must still exit 0.
-boot_daemon "$tmp/addr3" -batch-size 8 -batch-wait 5s
-curl -s -D "$tmp/hdr4" --data-binary @"$trace_file" \
-    "http://$addr/solve?capacity=1.5" > "$tmp/resp4" &
-curl_pid=$!
-sleep 0.5 # let the request enter the batch window
+# Queued-waiter shedding at drain is covered in-process by
+# TestServeDrainShedsQueuedWaiters (internal/serve), which holds a solve
+# in flight through a test seam; a script cannot park a request in the
+# admission queue deterministically.
+
+# A client-supplied trace: a request carrying its own X-Transched-Trace
+# must be answered under the same trace ID, /debug/requests must show
+# it with its stages covering >= 95% of its span, and -trace-out must
+# write the span, under that ID, as a Chrome trace export on shutdown.
+boot_daemon "$tmp/addr4" -trace-out "$tmp/reqtrace.json"
+client_trace=0123456789abcdef0123456789abcdef
+curl -sf -D "$tmp/hdr4" -H "X-Transched-Trace: $client_trace-00000000000000a1" \
+    --data-binary @"$trace_file" \
+    "http://$addr/solve?heuristic=OOLCMR&capacity=1.5" > "$tmp/resp4" \
+    || fail "traced POST /solve"
+cmp -s "$tmp/resp1" "$tmp/resp4" || fail "traced response differs from the first solve"
+got_trace=$(tr -d '\r' < "$tmp/hdr4" | awk 'tolower($1)=="x-transched-trace:" { split($2, a, "-"); print a[1] }')
+[ "$got_trace" = "$client_trace" ] || fail "response trace ID $got_trace, want the client's $client_trace"
+"$tmp/scrapecheck" -requests "http://$addr/debug/requests?format=json" \
+    -trace "$client_trace" -min-coverage 0.95 > /dev/null \
+    || fail "/debug/requests misses trace $client_trace with coverage >= 0.95"
 kill -TERM "$pid"
-if ! wait "$pid"; then
-    fail "batching daemon exited non-zero on SIGTERM (log: $(cat "$tmp/daemon.log"))"
-fi
+wait "$pid" || fail "traced daemon exited non-zero on SIGTERM"
 pid=""
-wait "$curl_pid" || fail "parked request got no response at drain"
-grep -q '^HTTP/[0-9.]* 503' "$tmp/hdr4" || fail "parked request not shed with 503: $(head -n 1 "$tmp/hdr4")"
-grep -qi '^retry-after:' "$tmp/hdr4" || fail "shed response missing Retry-After"
-
-# One trace across the shard tier: a request through the router must
-# carry a single trace ID visible in the router's span AND the serving
-# backend's span, and the backend must write a Chrome trace export of
-# its sampled requests on shutdown.
-boot_daemon "$tmp/addrA" -trace-out "$tmp/reqtraceA.json"
-b1_pid=$pid; b1_addr=$addr
-boot_daemon "$tmp/addrB" -trace-out "$tmp/reqtraceB.json"
-b2_pid=$pid; b2_addr=$addr
-boot_daemon "$tmp/addrR" -route "http://$b1_addr,http://$b2_addr"
-r_pid=$pid; r_addr=$addr
-pid="" # the three daemons above are managed by hand below
-
-curl -sf -D "$tmp/hdr5" --data-binary @"$trace_file" \
-    "http://$r_addr/solve?heuristic=OOLCMR&capacity=1.5" > "$tmp/resp5" \
-    || fail "routed POST /solve"
-cmp -s "$tmp/resp1" "$tmp/resp5" || fail "routed response differs from direct solve"
-route_trace=$(tr -d '\r' < "$tmp/hdr5" | awk 'tolower($1)=="x-transched-trace:" { split($2, a, "-"); print a[1] }')
-[ -n "$route_trace" ] || fail "routed response has no X-Transched-Trace"
-tr -d '\r' < "$tmp/hdr5" | grep -qi '^x-transched-timing: .*router;dur=' \
-    || fail "routed timing header misses the router stage"
-backend=$(tr -d '\r' < "$tmp/hdr5" | awk 'tolower($1)=="x-transched-backend:" { print $2 }')
-[ -n "$backend" ] || fail "routed response names no backend"
-"$tmp/scrapecheck" -requests "http://$r_addr/debug/requests?format=json" \
-    -trace "$route_trace" > /dev/null \
-    || fail "router /debug/requests misses trace $route_trace"
-"$tmp/scrapecheck" -requests "$backend/debug/requests?format=json" \
-    -trace "$route_trace" -min-coverage 0.95 > /dev/null \
-    || fail "backend /debug/requests misses trace $route_trace with coverage >= 0.95"
-
-for p in "$r_pid" "$b2_pid" "$b1_pid"; do
-    kill -TERM "$p"
-    wait "$p" || fail "shard-tier daemon $p exited non-zero on SIGTERM"
-done
-# The backend that served the request must have exported its span as
-# Chrome trace events (Perfetto-loadable) on shutdown.
-if [ "$backend" = "http://$b1_addr" ]; then
-    export_file=$tmp/reqtraceA.json
-else
-    export_file=$tmp/reqtraceB.json
-fi
-[ -s "$export_file" ] || fail "-trace-out wrote no Chrome export"
-jq -e '.traceEvents | length > 0' "$export_file" > /dev/null \
+[ -s "$tmp/reqtrace.json" ] || fail "-trace-out wrote no Chrome export"
+jq -e '.traceEvents | length > 0' "$tmp/reqtrace.json" > /dev/null \
     || fail "-trace-out export has no events"
+grep -q "$client_trace" "$tmp/reqtrace.json" || fail "-trace-out export misses trace $client_trace"
 
-echo "smoke_transchedd: ok (makespan $daemon_mk matches CLI, cache hit byte-identical, warm restart served from disk, drain sheds queued work, one trace ID across router and backend, prometheus scrape valid, exits clean)"
+echo "smoke_transchedd: ok (makespan $daemon_mk matches CLI, cache hit byte-identical, warm restart served from disk, client trace ID continued with stage coverage >= 0.95 and a Chrome export, prometheus scrape valid, exits clean)"

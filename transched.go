@@ -92,10 +92,13 @@ type Heuristic = heuristics.Heuristic
 type Category = heuristics.Category
 
 // Heuristics returns all fourteen strategies in the paper's figure order.
-// BP needs the memory capacity to size its bins; the others ignore it.
+// No strategy reads capacity: BP sizes its bins from the capacity of the
+// run it drives, so any value works; the parameter only keeps existing
+// callers compiling.
 func Heuristics(capacity float64) []Heuristic { return heuristics.All(capacity) }
 
-// HeuristicByName returns one strategy by its paper acronym.
+// HeuristicByName returns one strategy by its paper acronym; like
+// Heuristics, it ignores capacity.
 func HeuristicByName(name string, capacity float64) (Heuristic, error) {
 	return heuristics.ByName(name, capacity)
 }
@@ -170,8 +173,8 @@ func SolveMILP(in *Instance, opts MILPOptions) (*MILPResult, error) {
 // (practical only for small instances). maxNodes caps the branch and
 // bound (0 means 500,000 nodes). The schedule is exact only when the
 // search proves it optimal; a search the cap stops returns its best
-// incumbent, and one stopped before any incumbent returns an error
-// with status expired, never a claim of infeasibility.
+// incumbent, which is the greedy completion seeding the search when
+// nothing beat it. Every valid instance gets a schedule.
 func SolveMILPExact(in *Instance, maxNodes int) (*Schedule, error) {
 	s, _, err := lpsched.SolveExact(in, maxNodes)
 	return s, err
