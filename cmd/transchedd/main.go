@@ -6,17 +6,10 @@
 // Usage:
 //
 //	transchedd [-addr localhost:8080] [-max-solves 8] [-queue 128]
-//	           [-cache 1024] [-cache-bytes N] [-cache-dir DIR] [-model ridge]
+//	           [-cache 1024] [-cache-bytes N] [-cache-dir DIR]
 //	           [-timeout 30s] [-max-timeout 2m] [-drain-timeout 30s]
 //	           [-request-trace] [-trace-out FILE] [-trace-sample N]
 //	           [-slow-request D] [-addr-file path] [-debug] [-quiet]
-//
-// With -model ridge the daemon fits a ridge duration model at
-// startup — quick-scale annotated HF+CCSD traces, golden seed 20190415,
-// bit-identical coefficients on every start — and fills in predicted
-// durations for feature-only tasks (both durations zero, `#!` feature
-// annotations present) before solving. Fills surface as the model_*
-// metrics and the response's model_filled field (SERVING.md).
 //
 // Endpoints: POST /solve (a JSON envelope, or a raw v1 trace body with
 // ?capacity=&heuristic=&batch=&timeout_ms= query options), GET
@@ -50,12 +43,9 @@ import (
 	"syscall"
 	"time"
 
-	"transched/internal/experiments"
-	"transched/internal/model"
 	"transched/internal/obs"
 	"transched/internal/serve"
 	"transched/internal/serve/store"
-	"transched/internal/trace"
 )
 
 func main() {
@@ -85,7 +75,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		drain      = fs.Duration("drain-timeout", 30*time.Second, "hard cutoff for the graceful drain on SIGTERM/SIGINT")
 		debug      = fs.Bool("debug", false, "mount /debug/vars and /debug/pprof/ on the service port")
 		quiet      = fs.Bool("quiet", false, "disable request logging")
-		modelKind  = fs.String("model", "", "fit a duration model at startup (ridge, the one estimator) and fill in missing durations for feature-only traces")
 		reqTrace   = fs.Bool("request-trace", true, "per-request stage tracing: /debug/requests, X-Transched-Timing, serve_stage_seconds_* metrics")
 		traceOut   = fs.String("trace-out", "", "write sampled request spans as Chrome trace-event JSON to this file on shutdown (implies -request-trace)")
 		traceSamp  = fs.Int("trace-sample", 1, "export every Nth traced request to -trace-out (1 = all)")
@@ -134,17 +123,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		}
 	}
 
-	var dm *model.DurationModel
-	if *modelKind != "" {
-		if *modelKind != "ridge" {
-			return fmt.Errorf("unknown -model %q (want ridge)", *modelKind)
-		}
-		var err error
-		if dm, err = fitServingModel(stderr); err != nil {
-			return err
-		}
-	}
-
 	var st *store.Store
 	if *cacheDir != "" {
 		var err error
@@ -159,7 +137,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		CacheEntries:    *cacheN,
 		CacheBytes:      *cacheBytes,
 		Store:           st,
-		Model:           dm,
 		DefaultTimeout:  *timeout,
 		MaxTimeout:      *maxTimeout,
 		Tracer:          tracer,
@@ -167,34 +144,4 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		EnableProfiling: *debug,
 	})
 	return srv.ListenAndServe(ctx, *addr, *drain, onListen)
-}
-
-// fitServingModel trains the -model duration estimator the daemon uses
-// to fill in missing durations on feature-only traces: quick-scale
-// annotated HF and CCSD workloads at the fixed golden seed, so every
-// daemon serves from bit-identical coefficients (same digests as the
-// robustness study's fit). The fit wall time is logged but never feeds a
-// result.
-func fitServingModel(stderr io.Writer) (*model.DurationModel, error) {
-	cfg := experiments.QuickConfig()
-	cfg.Seed = 20190415
-	var traces []*trace.Trace
-	for _, app := range []string{"HF", "CCSD"} {
-		trs, err := experiments.GenerateAnnotatedTraces(app, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("generating %s fit traces: %w", app, err)
-		}
-		traces = append(traces, trs...)
-	}
-	start := time.Now()
-	dm, rep, err := model.FitDurationModel(traces, model.FitOptions{Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(stderr,
-		"transchedd: fitted ridge duration model in %v (cm n=%d cv-mape=%.4g digest=%s; cp n=%d cv-mape=%.4g digest=%s; sigma=%.4g)\n",
-		time.Since(start).Round(time.Millisecond),
-		rep.NCM, rep.CVCM.MAPE, rep.DigestCM,
-		rep.NCP, rep.CVCP.MAPE, rep.DigestCP, rep.Sigma)
-	return dm, nil
 }

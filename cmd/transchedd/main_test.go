@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -14,9 +13,6 @@ import (
 	"time"
 
 	"transched"
-	"transched/internal/core"
-	"transched/internal/model"
-	"transched/internal/trace"
 )
 
 // waitForFile polls until path exists and is non-empty.
@@ -115,6 +111,9 @@ func TestRunFlagErrors(t *testing.T) {
 		{"removed replicas", "flag provided but not defined: -replicas", []string{"-replicas", "2"}},
 		{"removed batch-size", "flag provided but not defined: -batch-size", []string{"-batch-size", "4"}},
 		{"removed batch-wait", "flag provided but not defined: -batch-wait", []string{"-batch-wait", "5ms"}},
+		// Schedules are computed from the durations a request carries:
+		// the duration-model fill is gone with its flag.
+		{"removed model", "flag provided but not defined: -model", []string{"-model", "ridge"}},
 		{"unusable address", "", []string{"-addr", "256.256.256.256:bad"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -218,92 +217,5 @@ func TestRunWarmRestart(t *testing.T) {
 	}
 	if !bytes.Equal(firstBody, secondBody) {
 		t.Error("disk-served response differs from the originally computed one")
-	}
-}
-
-// featureOnlyTrace renders a trace whose tasks carry feature
-// annotations but zero durations — the -model flag's reason to exist.
-func featureOnlyTrace(t *testing.T, tasks int) string {
-	t.Helper()
-	tr := &trace.Trace{App: "HF", FeatureNames: append([]string(nil), model.Names...)}
-	for i := 0; i < tasks; i++ {
-		tr.Tasks = append(tr.Tasks, core.Task{Name: fmt.Sprintf("twoel.%d", i), Mem: 1.5})
-		f := model.Features{Bytes: float64(1+i) * 1e7, Mem: 1.5, Flops: float64(1+i) * 1e10}
-		tr.Features = append(tr.Features, f.Vector())
-	}
-	var sb strings.Builder
-	if err := trace.Write(&sb, tr); err != nil {
-		t.Fatal(err)
-	}
-	return sb.String()
-}
-
-// TestRunModelFlag: a -model daemon fits at startup (logged to stderr)
-// and fills durations for feature-only traces, reported in the response.
-func TestRunModelFlag(t *testing.T) {
-	addrFile := filepath.Join(t.TempDir(), "addr")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var stderr bytes.Buffer
-	errc := make(chan error, 1)
-	go func() {
-		errc <- run(ctx, []string{"-addr", "127.0.0.1:0", "-addr-file", addrFile, "-quiet", "-model", "ridge"}, &stderr)
-	}()
-	addr := waitForFile(t, addrFile)
-
-	resp := solveTrace(t, addr, featureOnlyTrace(t, 6))
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("feature-only solve: %d: %s", resp.StatusCode, body)
-	}
-	var out struct {
-		ModelFilled int `json:"model_filled"`
-		Best        struct {
-			Makespan float64 `json:"makespan"`
-		} `json:"best"`
-	}
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatalf("response not JSON: %v\n%s", err, body)
-	}
-	if out.ModelFilled != 6 {
-		t.Errorf("model_filled = %d, want 6", out.ModelFilled)
-	}
-	if out.Best.Makespan <= 0 {
-		t.Errorf("makespan %g: predicted durations did not reach the solver", out.Best.Makespan)
-	}
-
-	mresp, err := http.Get("http://" + addr + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	if !strings.Contains(string(metrics), "model_tasks_filled_total 6") {
-		t.Errorf("metrics missing model fill counters:\n%s", metrics)
-	}
-
-	cancel()
-	select {
-	case err := <-errc:
-		if err != nil {
-			t.Fatalf("run exited with %v\nstderr: %s", err, stderr.String())
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("daemon did not drain after cancel")
-	}
-	if !strings.Contains(stderr.String(), "fitted ridge duration model") {
-		t.Errorf("missing fit banner in stderr: %q", stderr.String())
-	}
-
-	// Ridge is the one estimator: any other value, the retired kernel
-	// ridge included, fails at startup, before binding, with an error
-	// that names ridge.
-	for _, kind := range []string{"kernel", "bogus"} {
-		var bad bytes.Buffer
-		err := run(context.Background(), []string{"-model", kind}, &bad)
-		if err == nil || !strings.Contains(err.Error(), "ridge") {
-			t.Errorf("-model %s: err = %v, want an error naming ridge", kind, err)
-		}
 	}
 }

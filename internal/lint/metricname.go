@@ -17,7 +17,7 @@ import (
 // prefix discipline (they still get the charset and double-registration
 // checks).
 var MetricPrefixes = map[string][]string{
-	"transched/internal/serve":       {"serve_", "model_"},
+	"transched/internal/serve":       {"serve_"},
 	"transched/internal/serve/store": {"serve_"},
 	"transched/internal/experiments": {"sweep_"},
 	"transched/internal/rts":         {"rts_"},
@@ -40,7 +40,7 @@ var Metricname = &Analyzer{
 	Name: "metricname",
 	Doc: "enforce metric naming: lower_snake, subsystem prefix, registered once\n\n" +
 		"Metric name literals must match ^[a-z][a-z0-9_]*$ and carry the\n" +
-		"package's subsystem prefix (serve_/model_, sweep_, rts_), and a\n" +
+		"package's subsystem prefix (serve_, sweep_, rts_), and a\n" +
 		"name may be registered only once per package. Keeps serve_* and\n" +
 		"rts_* dashboard queries exhaustive by construction.",
 	Run: runMetricname,

@@ -1,15 +1,15 @@
 // Package serve is golden testdata for the metricname analyzer,
-// type-checked under the serving tier's import path so the serve_/
-// model_ prefix rule applies: metric name literals must be
-// lower_snake, carry the package's subsystem prefix, and be
-// registered once.
+// type-checked under the serving tier's import path so the serve_
+// prefix rule applies: metric name literals must be lower_snake, carry
+// the package's subsystem prefix, and be registered once.
 package serve
 
 import "transched/internal/obs"
 
 func register(reg *obs.Registry) {
 	_ = reg.Counter("serve_requests_total")
-	_ = reg.Gauge("route_backends") // want `subsystem prefix`
+	_ = reg.Gauge("route_backends")             // want `subsystem prefix`
+	_ = reg.Counter("model_tasks_filled_total") // want `subsystem prefix`
 	_ = reg.Histogram("serve_request_seconds", obs.DefaultBuckets())
 	_ = reg.Counter("Serve_Bad_Case")       // want `must match`
 	_ = reg.Counter("serve_9lives")         // still matches the charset: prefix rule is separate

@@ -32,7 +32,7 @@ func wrappedField(h struct{ rt *obs.ReqTrace }) {
 // argEffects keeps the clock read off the untraced path: exempt.
 func argEffects(rt *obs.ReqTrace, start time.Time) {
 	if rt != nil {
-		rt.ObserveStage(obs.StageDecode, start, time.Since(start))
+		rt.SetStatus(int(time.Since(start)))
 	}
 }
 

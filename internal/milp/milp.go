@@ -4,11 +4,11 @@
 //
 // The search is best-first on the relaxation bound, branches on the most
 // fractional integer variable, and supports an incumbent cutoff seeded
-// from a known feasible solution (the windowed heuristic seeds it with the
-// best heuristic schedule) plus node, gap, wall-clock and improvement
-// budgets — mirroring how the paper had to cap GLPK ("the solver was
-// unable to solve this MILP at the scale of our interest in limited
-// time").
+// from a known feasible solution (the windowed solver in lpsched seeds
+// it with a greedy completion of each window) plus node, gap,
+// wall-clock and improvement budgets — mirroring how the paper had to
+// cap GLPK ("the solver was unable to solve this MILP at the scale of
+// our interest in limited time").
 //
 // Since the warm-start rewrite the search no longer solves any LP from
 // scratch past the root: every node carries its parent's optimal basis

@@ -54,8 +54,8 @@ func (f Features) Vector() []float64 {
 // FromRow reorders a named feature row into canonical Names order. The
 // row may carry the columns in any order and may include extra columns
 // (ignored); ok is false when a canonical column is missing. This is
-// what lets the serving tier accept annotated traces whose producers
-// ordered the columns differently.
+// what lets a fit accept annotated traces whose producers ordered the
+// columns differently.
 func FromRow(names []string, row []float64) (vec []float64, ok bool) {
 	if len(names) != len(row) {
 		return nil, false

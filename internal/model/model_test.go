@@ -229,23 +229,3 @@ func TestFitOptionsValidation(t *testing.T) {
 		t.Error("no annotated traces should fail")
 	}
 }
-
-func TestDurationModelClampsNegative(t *testing.T) {
-	// A linear extrapolation far below the training range goes negative;
-	// the model must clamp.
-	var ds Dataset
-	for i := 0; i < 20; i++ {
-		x := float64(i + 100)
-		ds.X = append(ds.X, vec(x, 0, 0, 0))
-		ds.Y = append(ds.Y, x) // y = x, so y(x=-1e6) < 0
-	}
-	r, err := FitRidge(ds, 1e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := &DurationModel{CM: r, CP: r, Sigma: MinSigma}
-	comm, comp := m.PredictTask(vec(-1e6, 0, 0, 0))
-	if comm != 0 || comp != 0 {
-		t.Errorf("PredictTask should clamp to 0, got %g/%g", comm, comp)
-	}
-}

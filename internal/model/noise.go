@@ -54,13 +54,6 @@ type DurationModel struct {
 	Sigma float64
 }
 
-// PredictTask returns the predicted (comm, comp) for a canonical feature
-// vector, clamped to be non-negative — a duration below zero is an
-// artefact of the fit, not a physical estimate.
-func (m *DurationModel) PredictTask(x []float64) (comm, comp float64) {
-	return math.Max(0, m.CM.Predict(x)), math.Max(0, m.CP.Predict(x))
-}
-
 // FitReport carries everything the CLIs print about a fit.
 type FitReport struct {
 	// NCM and NCP are the training-set sizes (identical today — every

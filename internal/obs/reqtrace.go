@@ -232,18 +232,6 @@ func (t StageTimer) End() {
 	t.r.record(t.st, t.t0, time.Since(t.t0), false)
 }
 
-// ObserveStage records a stage span whose bounds were measured
-// externally.
-func (r *ReqTrace) ObserveStage(s Stage, start time.Time, d time.Duration) {
-	if r == nil {
-		return
-	}
-	if d < 0 {
-		d = 0
-	}
-	r.record(s, start, d, false)
-}
-
 func (r *ReqTrace) record(s Stage, start time.Time, d time.Duration, shared bool) {
 	rec := SpanRec{Stage: s, ID: NewSpanID(), Start: start, Dur: d, Shared: shared}
 	r.mu.Lock()

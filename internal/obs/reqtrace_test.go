@@ -8,6 +8,12 @@ import (
 	"time"
 )
 
+// observeStage records a stage span with the given bounds, so tests
+// pin exact durations instead of timing StartStage/End.
+func (r *ReqTrace) observeStage(s Stage, start time.Time, d time.Duration) {
+	r.record(s, start, d, false)
+}
+
 // TestNilTracerUniversalNoOp pins the house rule: a nil tracer hands
 // out nil traces, and every method on both is a safe no-op.
 func TestNilTracerUniversalNoOp(t *testing.T) {
@@ -21,7 +27,6 @@ func TestNilTracerUniversalNoOp(t *testing.T) {
 		t.Error("nil trace's StageTimer read the clock")
 	}
 	st.End()
-	r.ObserveStage(StageQueue, time.Time{}, time.Second)
 	r.SetDigest("d")
 	r.SetStatus(200)
 	r.SetCacheSource("memory")
@@ -47,9 +52,9 @@ func TestStageRecordingFeedsHistogramsAndHeader(t *testing.T) {
 	tr := NewReqTracer(ReqTracerConfig{Registry: reg})
 	r := tr.Start("solve", SpanContext{})
 	base := time.Now()
-	r.ObserveStage(StageDecode, base, 2*time.Millisecond)
-	r.ObserveStage(StageSolve, base, 40*time.Millisecond)
-	r.ObserveStage(StageSolve, base, 10*time.Millisecond) // accumulates
+	r.observeStage(StageDecode, base, 2*time.Millisecond)
+	r.observeStage(StageSolve, base, 40*time.Millisecond)
+	r.observeStage(StageSolve, base, 10*time.Millisecond) // accumulates
 
 	h := r.TimingHeader()
 	if !strings.Contains(h, "decode;dur=2.000") {
@@ -128,11 +133,11 @@ func TestFinishIdempotentAndLateSpansDropped(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewReqTracer(ReqTracerConfig{Registry: reg})
 	r := tr.Start("solve", SpanContext{})
-	r.ObserveStage(StageSolve, time.Now(), time.Millisecond)
+	r.observeStage(StageSolve, time.Now(), time.Millisecond)
 	r.Finish()
 	r.Finish() // idempotent
 	// A span recorded after Finish lands in a retired trace.
-	r.ObserveStage(StageQueue, time.Now(), time.Second)
+	r.observeStage(StageQueue, time.Now(), time.Second)
 	r.AdoptSolve(SpanRef{ID: NewSpanID()})
 
 	snap := reg.Snapshot()
@@ -182,7 +187,7 @@ func TestRecentRingNewestFirstAndBounded(t *testing.T) {
 func TestAdoptSolveSharedSpanExcludedFromStages(t *testing.T) {
 	tr := NewReqTracer(ReqTracerConfig{})
 	owner := tr.Start("solve", SpanContext{})
-	owner.ObserveStage(StageSolve, time.Now(), 30*time.Millisecond)
+	owner.observeStage(StageSolve, time.Now(), 30*time.Millisecond)
 	ref, ok := owner.SolveRef()
 	if !ok {
 		t.Fatal("owner has no solve ref after recording a solve span")
@@ -239,7 +244,7 @@ func TestSnapshotShowsActiveRequests(t *testing.T) {
 func TestRequestsHandlerJSONAndText(t *testing.T) {
 	tr := NewReqTracer(ReqTracerConfig{})
 	r := tr.Start("solve", SpanContext{})
-	r.ObserveStage(StageSolve, time.Now(), 5*time.Millisecond)
+	r.observeStage(StageSolve, time.Now(), 5*time.Millisecond)
 	r.SetDigest("deadbeefdeadbeef")
 	r.SetStatus(200)
 	r.Finish()
@@ -269,13 +274,13 @@ func TestChromeExportSampling(t *testing.T) {
 	sink := NewTrace()
 	tr := NewReqTracer(ReqTracerConfig{Trace: sink, SampleEvery: 2})
 	r := tr.Start("solve", SpanContext{})
-	r.ObserveStage(StageSolve, time.Now(), time.Millisecond)
+	r.observeStage(StageSolve, time.Now(), time.Millisecond)
 	r.Finish() // seq 1: not sampled (1 % 2 != 0)
 	if sink.Len() != 0 {
 		t.Fatalf("first completion exported %d events, want 0 with SampleEvery=2", sink.Len())
 	}
 	r = tr.Start("solve", SpanContext{})
-	r.ObserveStage(StageSolve, time.Now(), time.Millisecond)
+	r.observeStage(StageSolve, time.Now(), time.Millisecond)
 	r.Finish() // seq 2: sampled
 	if sink.Len() == 0 {
 		t.Fatal("second completion exported nothing")
@@ -302,8 +307,8 @@ func TestStageCoverageIdentity(t *testing.T) {
 	// Two stages covering nearly all of a 20ms request.
 	time.Sleep(20 * time.Millisecond)
 	now := time.Now()
-	r.ObserveStage(StageQueue, now.Add(-20*time.Millisecond), 10*time.Millisecond)
-	r.ObserveStage(StageSolve, now.Add(-10*time.Millisecond), 10*time.Millisecond)
+	r.observeStage(StageQueue, now.Add(-20*time.Millisecond), 10*time.Millisecond)
+	r.observeStage(StageSolve, now.Add(-10*time.Millisecond), 10*time.Millisecond)
 	r.Finish()
 	snap := tr.Snapshot()
 	if len(snap.Recent) != 1 {

@@ -82,17 +82,6 @@ type Config struct {
 	// serially in candidate order, so the committed schedule, choices and
 	// telemetry are bit-identical at every worker count.
 	Workers int
-	// Predict, when non-nil under Auto selection, plans on estimates:
-	// candidate trials run on a copy of the batch whose durations are
-	// replaced by Predict's (comm, comp) — the information a production
-	// runtime actually has — while the committed schedule still executes
-	// the observed durations. Each batch then also trial-runs every
-	// candidate on the true durations to price the misprediction:
-	// BatchRecord.Regret is the committed candidate's true makespan
-	// minus the best candidate's, and Stats sums it. Negative
-	// predictions are clamped to zero. Ignored under Fixed selection
-	// (no selection decision to misinform).
-	Predict func(core.Task) (comm, comp float64)
 	// Context, when non-nil, is checked before each batch's candidate
 	// trials; a cancelled or expired context aborts scheduling with
 	// ctx.Err() instead of starting more trials.
@@ -140,12 +129,6 @@ type BatchRecord struct {
 	RunnerUpDelta float64
 	// MemoryInUse is Executor.MemoryInUse after committing the batch.
 	MemoryInUse float64
-	// Regret is only set when Config.Predict is in use: the committed
-	// candidate's trial makespan on the *true* durations minus the best
-	// candidate's — what planning on estimates instead of ground truth
-	// cost this batch. Zero when the prediction-ranked winner was also
-	// the true winner.
-	Regret float64
 	// CandidateErrors lists the candidates whose trial runs failed.
 	CandidateErrors []CandidateError
 }
@@ -166,10 +149,6 @@ type Stats struct {
 	PeakMemory float64
 	// MemStalls counts placements that waited on a memory release.
 	MemStalls int
-	// Regret is the total BatchRecord.Regret across batches: the
-	// cumulative makespan cost of selecting on predicted durations
-	// (always 0 without Config.Predict).
-	Regret float64
 	// CandidateErrors is the total number of failed candidate trials
 	// across all batches.
 	CandidateErrors int
@@ -263,43 +242,13 @@ func (r *Runtime) scheduleLocked(batch []core.Task) error {
 		// (Executor.TrialMakespan never mutates r.exec), each writing only
 		// its own index-addressed slot; then reduce serially in candidate
 		// order, replicating the serial loop's selection decision and
-		// telemetry exactly. With Predict set, selection trials run on
-		// the predicted batch and a second bank of oracle trials on the
-		// true batch prices the regret — 2n independent units in the one
-		// fan-out, still index-addressed.
+		// telemetry exactly.
 		n := len(r.cfg.Candidates)
 		spans := make([]float64, n)
 		errs := make([]error, n)
-		planBatch := batch
-		var trueSpans []float64
-		var trueErrs []error
-		if r.cfg.Predict != nil {
-			planBatch = make([]core.Task, len(batch))
-			for i, t := range batch {
-				comm, comp := r.cfg.Predict(t)
-				if comm < 0 {
-					comm = 0
-				}
-				if comp < 0 {
-					comp = 0
-				}
-				t.Comm, t.Comp = comm, comp
-				planBatch[i] = t
-			}
-			trueSpans = make([]float64, n)
-			trueErrs = make([]error, n)
-			par.ForEachIndex(r.cfg.Workers, 2*n, func(u int) {
-				if u < n {
-					spans[u], errs[u] = r.exec.TrialMakespan(r.cfg.Candidates[u].Policy, planBatch)
-				} else {
-					trueSpans[u-n], trueErrs[u-n] = r.exec.TrialMakespan(r.cfg.Candidates[u-n].Policy, batch)
-				}
-			})
-		} else {
-			par.ForEachIndex(r.cfg.Workers, n, func(i int) {
-				spans[i], errs[i] = r.exec.TrialMakespan(r.cfg.Candidates[i].Policy, batch)
-			})
-		}
+		par.ForEachIndex(r.cfg.Workers, n, func(i int) {
+			spans[i], errs[i] = r.exec.TrialMakespan(r.cfg.Candidates[i].Policy, batch)
+		})
 		bestIdx := -1
 		bestSpan, runnerUp := 0.0, 0.0
 		for i, c := range r.cfg.Candidates {
@@ -334,18 +283,6 @@ func (r *Runtime) scheduleLocked(batch []core.Task) error {
 		rec.Winner = r.cfg.Candidates[bestIdx].Name
 		if rec.Trialed > 1 {
 			rec.RunnerUpDelta = runnerUp - bestSpan
-		}
-		if r.cfg.Predict != nil && trueErrs[bestIdx] == nil {
-			// Oracle reduce, serially in candidate order: what the best
-			// candidate would have cost under the true durations, vs what
-			// the prediction-ranked winner does cost.
-			bestTrue := trueSpans[bestIdx]
-			for i := range r.cfg.Candidates {
-				if trueErrs[i] == nil && trueSpans[i] < bestTrue {
-					bestTrue = trueSpans[i]
-				}
-			}
-			rec.Regret = trueSpans[bestIdx] - bestTrue
 		}
 	}
 	r.choices = append(r.choices, rec.Winner)
@@ -384,7 +321,6 @@ func (r *Runtime) Stats() Stats {
 	for i, b := range r.batches {
 		st.Batches[i].CandidateErrors = append([]CandidateError(nil), b.CandidateErrors...)
 		st.CandidateErrors += len(b.CandidateErrors)
-		st.Regret += b.Regret
 	}
 	return st
 }

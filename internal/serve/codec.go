@@ -90,11 +90,7 @@ type Response struct {
 	Advised     []string `json:"advised"`
 	Batches     int      `json:"batches,omitempty"`
 	Choices     []string `json:"choices,omitempty"`
-	// ModelFilled counts the feature-only tasks whose durations were
-	// filled in by the configured duration model (Config.Model) before
-	// the solve; absent when no fill happened.
-	ModelFilled int     `json:"model_filled,omitempty"`
-	Timeline    []Event `json:"timeline"`
+	Timeline    []Event  `json:"timeline"`
 }
 
 // errorBody is the JSON error envelope.
@@ -113,9 +109,6 @@ type parsedRequest struct {
 	trace  *trace.Trace
 	digest string
 	opts   transched.SolveOptions
-	// modelFilled is set by handleSolve when Config.Model filled in
-	// durations for feature-only tasks; it rides into the response.
-	modelFilled int
 }
 
 // decodeRequest reads the envelope from either accepted form.

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"transched"
-	"transched/internal/model"
 	"transched/internal/obs"
 	"transched/internal/serve/store"
 )
@@ -58,14 +57,6 @@ type Config struct {
 	// Nil disables all of it — zero clock reads, zero allocations, and
 	// response bodies byte-identical either way (OBSERVABILITY.md).
 	Tracer *obs.ReqTracer
-	// Model, when non-nil, fills in predicted durations for feature-only
-	// tasks (both durations zero, feature annotations present) before the
-	// solve — the serving side of internal/model. Fills are surfaced via
-	// the model_* metrics and the response's model_filled field. The
-	// cache digest is computed over the trace as sent, so a disk store
-	// must not be shared between daemons with different model
-	// configurations (SERVING.md).
-	Model *model.DurationModel
 	// Logger, when non-nil, gets one record per computed solve and per
 	// shed request. Nil disables logging.
 	Logger *slog.Logger
@@ -137,10 +128,6 @@ type Server struct {
 	storeBytes   *obs.Gauge
 	reqHist      *obs.Histogram
 	solveHist    *obs.Histogram
-
-	modelFillReqs *obs.Counter
-	modelFilled   *obs.Counter
-	modelFillHist *obs.Histogram
 }
 
 // New builds a server from the config.
@@ -164,10 +151,6 @@ func New(cfg Config) *Server {
 		storeBytes:   reg.Gauge("serve_store_bytes"),
 		reqHist:      reg.Histogram("serve_request_seconds", obs.DefaultBuckets()),
 		solveHist:    reg.Histogram("serve_solve_seconds", obs.DefaultBuckets()),
-
-		modelFillReqs: reg.Counter("model_fill_requests_total"),
-		modelFilled:   reg.Counter("model_tasks_filled_total"),
-		modelFillHist: reg.Histogram("model_fill_seconds", obs.DefaultBuckets()),
 	}
 	s.cache = newCache(cfg.CacheEntries, cfg.CacheBytes, cfg.Store,
 		reg.Counter("serve_store_put_errors_total"))
@@ -315,9 +298,7 @@ func (s *Server) solveOne(ctx context.Context, p *parsedRequest, rt *obs.ReqTrac
 		return nil, err
 	}
 	et := rt.StartStage(obs.StageEncode)
-	resp := buildResponse(res)
-	resp.ModelFilled = p.modelFilled
-	body, err := json.Marshal(resp)
+	body, err := json.Marshal(buildResponse(res))
 	et.End()
 	return body, err
 }
@@ -361,18 +342,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.SetDigest(p.digest)
-
-	// The model fill runs after the digest: the cache key addresses the
-	// request as sent, the fill only shapes what the solver sees.
-	if s.cfg.Model != nil {
-		fillStart := time.Now()
-		if n := fillDurations(p.trace, s.cfg.Model); n > 0 {
-			p.modelFilled = n
-			s.modelFillReqs.Inc()
-			s.modelFilled.Add(int64(n))
-		}
-		s.modelFillHist.Observe(time.Since(fillStart).Seconds())
-	}
 
 	timeout := s.cfg.DefaultTimeout
 	if p.req.TimeoutMS > 0 {

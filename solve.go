@@ -14,8 +14,11 @@ import (
 )
 
 // SolveOptions selects how Solve schedules a trace. The fields mirror
-// the cmd/transched flags of the same names, so a request carrying them
-// reproduces exactly what the CLI would print.
+// the cmd/transched flags of the same names. Unbatched, a solve's
+// results are the rows the CLI prints for the same flags. Batched, only
+// a named heuristic matches a CLI row (TestSolveBatchedMatchesRunBatches):
+// with Heuristic empty, Solve runs the runtime's Auto selection, while
+// `transched -batch N` batches each of the fourteen heuristics on its own.
 type SolveOptions struct {
 	// CapacityMultiplier sizes the memory as a multiple of the trace's
 	// minimum requirement mc (the largest single-task footprint).
@@ -26,8 +29,8 @@ type SolveOptions struct {
 	Heuristic string
 	// BatchSize, when positive, schedules through the online runtime in
 	// submission batches of this size (paper §6.3): automatic per-batch
-	// selection with the default candidates when Heuristic is empty,
-	// fixed policy otherwise.
+	// selection with the default candidates when Heuristic is empty (a
+	// result the CLI has no row for), fixed policy otherwise.
 	BatchSize int
 }
 
