@@ -11,8 +11,9 @@ import (
 // Plan is the capacity-free half of scheduling a task set with a policy
 // in submission batches. For every batch it holds what the event loop
 // reads but never writes: the static scan order (when the policy's order
-// is capacity-free), the criterion keys, and the key-descending and
-// memory-ascending indexes that accelerate dynamic selection. Run drives
+// is capacity-free), the criterion keys, and the memory-ascending,
+// communication-ascending and key-descending indexes that accelerate
+// dynamic selection. Run drives
 // the event loop from it at any capacity, so a capacity sweep builds one
 // plan per trace and heuristic and runs it at every capacity. A plan is
 // read-only once built: runs may proceed concurrently from several
@@ -36,6 +37,8 @@ type Plan struct {
 	// reuses them.
 	key, comm, mem    []float64
 	sorted, memSorted []int
+	commPos           []int
+	commAt, memAt     []float64
 	keySort           keySorter
 	memSort           memSorter
 }
@@ -47,9 +50,19 @@ type planBatch struct {
 
 	// Selection indexes, built only when the policy has a criterion.
 	key, comm, mem []float64 // per batch index
-	sorted         []int     // key descending, index ascending; nil when hasNaN
-	memSorted      []int     // memory ascending, index ascending
+	sorted         []int     // key descending, index ascending; nil when hasNaN or coMono
+	memSorted      []int     // memory, then comm, then index ascending
 	hasNaN         bool
+
+	// The communication-ascending index behind the indexed pick
+	// (selector.pickIndexed), set only when coMono: no key is NaN and
+	// memory is non-decreasing along the (comm, memory, index) order.
+	// byComm lists batch indices in that order (it is memSorted), commAt
+	// and memAt lay their communication times and requirements out
+	// along it, and commPos maps a batch index to its position.
+	byComm, commPos []int
+	commAt, memAt   []float64
+	coMono          bool
 }
 
 // NewPlan builds the capacity-free work for scheduling tasks with the
@@ -169,6 +182,9 @@ func (pl *Plan) build(tasks []core.Task, batchSize int, p Policy, fixed []int, o
 		pl.mem = growFloats(pl.mem, n)
 		pl.sorted = growInts(pl.sorted, n)
 		pl.memSorted = growInts(pl.memSorted, n)
+		pl.commPos = growInts(pl.commPos, n)
+		pl.commAt = growFloats(pl.commAt, n)
+		pl.memAt = growFloats(pl.memAt, n)
 	}
 	for k := 0; k < nb; k++ {
 		lo := k * batchSize
@@ -184,8 +200,10 @@ func (pl *Plan) build(tasks []core.Task, batchSize int, p Policy, fixed []int, o
 	}
 }
 
-// index computes batch b's criterion keys once per task and sorts its
-// key-descending and memory-ascending indexes, in arena slots [lo, hi).
+// index computes batch b's criterion keys once per task and builds its
+// selection indexes in arena slots [lo, hi): the memory-ascending index,
+// then either the communication-ascending one (a coMono batch) or,
+// when no key is NaN, the key-descending one.
 func (pl *Plan) index(b *planBatch, lo, hi int) {
 	b.key, b.comm, b.mem = pl.key[lo:hi], pl.comm[lo:hi], pl.mem[lo:hi]
 	for i, t := range b.tasks {
@@ -195,20 +213,46 @@ func (pl *Plan) index(b *planBatch, lo, hi int) {
 			b.hasNaN = true
 		}
 	}
-	if !b.hasNaN {
-		b.sorted = pl.sorted[lo:hi]
-		for i := range b.sorted {
-			b.sorted[i] = i
-		}
-		pl.keySort = keySorter{key: b.key, idx: b.sorted}
-		sort.Sort(&pl.keySort)
-	}
 	b.memSorted = pl.memSorted[lo:hi]
 	for i := range b.memSorted {
 		b.memSorted[i] = i
 	}
-	pl.memSort = memSorter{mem: b.mem, idx: b.memSorted}
+	pl.memSort = memSorter{mem: b.mem, comm: b.comm, idx: b.memSorted}
 	sort.Sort(&pl.memSort)
+	if b.hasNaN {
+		return
+	}
+	if pl.indexComm(b, lo, hi) {
+		return
+	}
+	b.sorted = pl.sorted[lo:hi]
+	for i := range b.sorted {
+		b.sorted[i] = i
+	}
+	pl.keySort = keySorter{key: b.key, idx: b.sorted}
+	sort.Sort(&pl.keySort)
+}
+
+// indexComm sets coMono and, when it holds, lays the batch out along
+// the communication-ascending index. That index needs no sort of its
+// own: memSorted orders by (memory, comm, index), and when comm is
+// non-decreasing along it, no task has both less communication and
+// more memory than another, so the (comm, memory, index) order is the
+// same permutation.
+func (pl *Plan) indexComm(b *planBatch, lo, hi int) bool {
+	for p := 1; p < len(b.memSorted); p++ {
+		if b.comm[b.memSorted[p]] < b.comm[b.memSorted[p-1]] {
+			return false
+		}
+	}
+	b.coMono = true
+	b.byComm, b.commPos = b.memSorted, pl.commPos[lo:hi]
+	b.commAt, b.memAt = pl.commAt[lo:hi], pl.memAt[lo:hi]
+	for p, i := range b.byComm {
+		b.commPos[i] = p
+		b.commAt[p], b.memAt[p] = b.comm[i], b.mem[i]
+	}
+	return true
 }
 
 // planPool recycles the plans of one-shot runs. Every field is rebuilt

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -183,7 +184,8 @@ func TestPlanReportsErrorsLikeRunBatches(t *testing.T) {
 
 // TestPickPathCounts: every dynamic-selection round ends on exactly one
 // counted path, in pure dynamic and corrected mode, with and without the
-// idle filter, and with NaN keys (the unaccelerated scan).
+// idle filter, and with NaN keys (no indexed pick). Paper traces are
+// co-monotone, so with real keys the scan is all but gone.
 func TestPickPathCounts(t *testing.T) {
 	tr := paperTraces(t, "CCSD", 1)[0]
 	nanKey := func(t core.Task) float64 {
@@ -211,7 +213,7 @@ func TestPickPathCounts(t *testing.T) {
 				}
 				st := e.Stats()
 				label := fmt.Sprintf("%s policy %d at %g mc: %+v", h.Name, pi, mult, st)
-				if paths := st.PickStalls + st.PickFast + st.PickEarly + st.PickFull; paths != st.Picks {
+				if paths := st.PickStalls + st.PickIndexed + st.PickFast + st.PickFull; paths != st.Picks {
 					t.Fatalf("%s: paths sum to %d", label, paths)
 				}
 				switch {
@@ -228,6 +230,16 @@ func TestPickPathCounts(t *testing.T) {
 				if st.Scanned > st.Picks*100 {
 					t.Fatalf("%s: scanned more than a batch per pick", label)
 				}
+				switch {
+				case pi == 2:
+					if st.PickIndexed != 0 {
+						t.Fatalf("%s: indexed picks with NaN keys", label)
+					}
+				case p.Crit != nil:
+					if st.PickIndexed == 0 || st.PickFull*100 > st.Picks {
+						t.Fatalf("%s: the scan ran on more than 1%% of picks", label)
+					}
+				}
 				want, err := simulate.RunBatches(tr.Instance(capacity), 100, p)
 				if err != nil {
 					t.Fatal(err)
@@ -235,6 +247,32 @@ func TestPickPathCounts(t *testing.T) {
 				if diff := sameSchedule(e.Schedule(), want); diff != "" {
 					t.Fatalf("%s: executor schedule differs from RunBatches: %s", label, diff)
 				}
+			}
+		}
+	}
+}
+
+// TestOneShotDynamicAllocs: a one-shot dynamic run on a paper trace,
+// whole or in batches, allocates the schedule and its assignments and
+// nothing else; the plan and the selector, the indexed pick's tree
+// included, come from the pools. The garbage collector is held off so
+// the pools keep what the warm-up run left in them.
+func TestOneShotDynamicAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops objects at random under -race")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, app := range []string{"HF", "CCSD"} {
+		tr := paperTraces(t, app, 1)[0]
+		in := tr.Instance(1.5 * tr.MinCapacity())
+		for _, batch := range []int{0, 100} {
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, err := simulate.RunBatches(in, batch, simulate.Policy{Crit: simulate.LargestComm}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 2 {
+				t.Errorf("%s in batches of %d: %g allocations per run, want at most 2", app, batch, allocs)
 			}
 		}
 	}

@@ -24,7 +24,15 @@
 // removals from the remaining order use order-preserving tombstones, and
 // working state is pooled — all without changing a single output bit
 // relative to the straightforward reference kernel kept in
-// reference_test.go. Every floating-point expression below is kept in the
+// reference_test.go. Dynamic selection is that kernel's running
+// eps-tolerant scan with three exact accelerations (selector.pick). The
+// first is an O(log n) indexed pick over a communication-ordered tree:
+// it answers wherever the scan provably reduces to a clean (idle, key)
+// argmin (pickIndexed holds the proof) and hands the pick to the scan
+// when one of its two guards fails; a batch with a NaN key, or whose
+// memory requirements fall where its communication times rise, never
+// uses it. The others are a stall check and, on batches without the
+// index, a fast path. Every floating-point expression below is kept in the
 // reference's exact shape (same operand order, same eps comparisons) so
 // optimized and reference schedules are byte-identical.
 package simulate
@@ -196,12 +204,12 @@ type ExecStats struct {
 
 	// Picks counts dynamic-selection rounds (selector.pick calls). Each
 	// ends on exactly one of four paths, counted below: nothing fits (a
-	// stall), the fast path, a scan stopped early, or a full scan.
-	Picks      int
-	PickStalls int
-	PickFast   int
-	PickEarly  int
-	PickFull   int
+	// stall), the indexed pick, the fast path, or a full scan.
+	Picks       int
+	PickStalls  int
+	PickIndexed int
+	PickFast    int
+	PickFull    int
 	// Scanned counts the remaining tasks the selection scans visited,
 	// fitting or not; Scanned / Placed is the scan cost per placement.
 	Scanned int
@@ -447,18 +455,32 @@ type selector struct {
 
 	// sorted lists batch indices by (key descending, index ascending);
 	// sortPtr advances monotonically past removed entries at the front.
-	// The order is only consulted when hasNaN is false: a NaN key makes
-	// the comparator non-transitive, so the scan runs unaccelerated.
+	// It is nil on a coMono batch, whose picks go to the index first,
+	// and when a key is NaN, which makes the comparator non-transitive.
 	sorted  []int
 	sortPtr int
-	hasNaN  bool
 
-	// memSorted lists batch indices by (memory ascending, index
-	// ascending); memPtr advances past removed entries at the front, so
+	// memSorted lists batch indices by (memory, comm, index), all
+	// ascending; memPtr advances past removed entries at the front, so
 	// the smallest remaining requirement — the O(1) "nothing can fit"
 	// stall check — is amortized O(1).
 	memSorted []int
 	memPtr    int
+
+	// The indexed pick's working set, used only when the batch is
+	// coMono. byComm, commPos, commAt and memAt are borrowed from the
+	// plan batch. tree is a segment tree over byComm positions whose
+	// leaves hold the alive tasks' keys, and next links each position to
+	// the first alive one at or after it (a path-halving union-find,
+	// with next[n] = n as the sentinel). Both are built on the batch's
+	// first indexed pick, so a corrected batch whose head always fits
+	// never pays for them.
+	byComm, commPos []int
+	commAt, memAt   []float64
+	coMono          bool
+	built           bool
+	tree            []pickNode
+	next            []int
 }
 
 // reset loads one plan batch into the selector. order is the scan order
@@ -466,7 +488,9 @@ type selector struct {
 func (sel *selector) reset(b *planBatch, order []int) {
 	n := len(b.tasks)
 	sel.key, sel.comm, sel.mem = b.key, b.comm, b.mem
-	sel.sorted, sel.memSorted, sel.hasNaN = b.sorted, b.memSorted, b.hasNaN
+	sel.sorted, sel.memSorted = b.sorted, b.memSorted
+	sel.byComm, sel.commPos, sel.commAt, sel.memAt = b.byComm, b.commPos, b.commAt, b.memAt
+	sel.coMono, sel.built = b.coMono, false
 	sel.alive = growBools(sel.alive, n)
 	sel.rem = growInts(sel.rem, n)
 	sel.remPos = growInts(sel.remPos, n)
@@ -493,6 +517,7 @@ func (sel *selector) reset(b *planBatch, order []int) {
 func (sel *selector) unload() {
 	sel.key, sel.comm, sel.mem = nil, nil, nil
 	sel.sorted, sel.memSorted = nil, nil
+	sel.byComm, sel.commPos, sel.commAt, sel.memAt = nil, nil, nil, nil
 }
 
 // head returns the first remaining batch index in scan order.
@@ -509,6 +534,11 @@ func (sel *selector) head() int {
 func (sel *selector) remove(i int) {
 	sel.alive[i] = false
 	sel.rem[sel.remPos[i]] = -1
+	if sel.built {
+		p := sel.commPos[i]
+		sel.next[p] = p + 1
+		sel.update(p)
+	}
 	sel.dead++
 	sel.n--
 	if sel.dead >= 16 && sel.dead > len(sel.rem)/2 {
@@ -526,8 +556,8 @@ func (sel *selector) remove(i int) {
 }
 
 // minAliveMem returns the batch index of the remaining task with the
-// smallest memory requirement (ties by smallest index), or -1; amortized
-// O(1) over a batch.
+// smallest memory requirement (ties by communication time, then index),
+// or -1; amortized O(1) over a batch.
 func (sel *selector) minAliveMem() int {
 	for sel.memPtr < len(sel.memSorted) {
 		if i := sel.memSorted[sel.memPtr]; sel.alive[i] {
@@ -541,7 +571,7 @@ func (sel *selector) minAliveMem() int {
 // topFitting returns the two remaining batch indices with the largest
 // keys among the tasks that fit right now, in (key descending, index
 // ascending) order — exactly the candidate set the selection scan ranges
-// over, since it skips non-fitting tasks. Meaningless when hasNaN.
+// over, since it skips non-fitting tasks. Only valid when sorted is set.
 func (sel *selector) topFitting(st *state) (top, second int) {
 	top, second = -1, -1
 	for p := sel.sortPtr; p < len(sel.sorted); p++ {
@@ -577,26 +607,31 @@ func (sel *selector) topFitting(st *state) (top, second int) {
 // exactly the remaining tasks that fit now, and three accelerations are
 // provably outcome-identical to the full scan over that set:
 //
+//   - Indexed pick: on a coMono batch, pickIndexed answers in O(log n)
+//     whenever the scan provably reduces to a clean argmin, and hands
+//     the pick to the stall check and the scan otherwise.
 //   - Stall check: float addition is monotone, so if the smallest
 //     remaining requirement does not fit, nothing does — return -1
 //     without scanning.
-//   - Fast path: when the largest-key fitting task induces zero idle and
-//     every other fitting key trails it by more than eps, no scan prefix
-//     can hold the best slot against it (zero idle always passes the
-//     idle branch; the strict key gap always passes the key branch) and
+//   - Fast path, on a batch that is neither coMono nor holds a NaN key:
+//     when the largest-key fitting task induces zero idle and every
+//     other fitting key trails it by more than eps, no scan prefix can
+//     hold the best slot against it (zero idle always passes the idle
+//     branch; the strict key gap always passes the key branch) and
 //     nothing after it can take the slot back (its idle cannot be
 //     undercut below zero minus eps; its key cannot be beaten by more
 //     than eps). The scan collapses without running.
-//   - Early exit: once the running best has exactly zero induced idle
-//     and a key within eps of the largest fitting key, no later
-//     candidate can fire either comparison branch, so the scan stops.
 func (sel *selector) pick(st *state, now float64, noIdleFilter bool) int {
+	if sel.coMono {
+		if i, ok := sel.pickIndexed(st, now, noIdleFilter); ok {
+			return i
+		}
+	}
 	if m := sel.minAliveMem(); m < 0 || !(st.used+sel.mem[m] <= st.capacity+eps) {
 		st.stats.PickStalls++
 		return -1
 	}
-	maxFitKey := math.Inf(1) // +Inf disables the early exit (see scan)
-	if !sel.hasNaN {
+	if sel.sorted != nil {
 		top, second := sel.topFitting(st)
 		if top < 0 {
 			st.stats.PickStalls++
@@ -612,7 +647,6 @@ func (sel *selector) pick(st *state, now float64, noIdleFilter bool) int {
 			st.stats.PickFast++
 			return top
 		}
-		maxFitKey = sel.key[top]
 	}
 	best, scanned := -1, 0
 	bestIdle, bestKey := math.Inf(1), math.Inf(-1)
@@ -635,18 +669,215 @@ func (sel *selector) pick(st *state, now float64, noIdleFilter bool) int {
 		case idle < bestIdle-eps,
 			idle <= bestIdle+eps && key > bestKey+eps:
 			best, bestIdle, bestKey = i, idle, key
-			// Exact even when maxFitKey is +Inf: reaching it then needs
-			// bestKey = +Inf, which no later key can exceed either.
-			if bestIdle == 0 && bestKey+eps >= maxFitKey {
-				st.stats.PickEarly++
-				st.stats.Scanned += scanned
-				return best
-			}
 		}
 	}
 	st.stats.PickFull++
 	st.stats.Scanned += scanned
 	return best
+}
+
+// pickIndexed answers a pick from the communication-ascending index of
+// a coMono batch, or reports ok = false when it cannot prove that the
+// scan would return the same task; the caller then runs the scan.
+//
+// Along byComm, memory is non-decreasing, and so is the induced idle
+// max(0, now+comm-tauComp): float addition and subtraction are
+// monotone. The fitting tasks therefore occupy a prefix [0, q) of the
+// positions, the alive ones start at f, and the alive fitting tasks
+// with the least idle I* = idle(f) lie in a run [f, g). One tree query
+// over [f, g) returns the largest key K* there, the earliest remaining
+// position holding it (the candidate x*), and the largest key K2
+// strictly below K*. x* is accepted only under two guards:
+//
+//	(a) K2 is absent or K* > K2+eps;
+//	(b) the first alive position h in [g, q), if any, has idle I2 with
+//	    I2 > I*+eps and I* < I2-eps.
+//
+// Proof that the scan returns x*. The scan's running state is always
+// some candidate's (idle, key) pair, or (+Inf, -Inf) before the first.
+// When the scan reaches x*, that state is one of:
+//   - (+Inf, -Inf): I* < +Inf-eps, so x* takes the slot.
+//   - a candidate at or after h, with idle I >= I2: I* < I2-eps <= I-eps,
+//     so x* takes the slot on the idle branch.
+//   - a candidate in [f, g), scanned before x*, so with a key k < K*
+//     (x* is the earliest holding K*): then k <= K2, I* <= I*+eps and
+//     K* > K2+eps >= k+eps, so x* takes the slot on the key branch.
+//
+// Once x* holds the slot, no later candidate fires either branch:
+//   - one in [f, g) has idle I* and key k <= K*: I* < I*-eps and
+//     k > K*+eps are both false.
+//   - one at or after h has idle I >= I2 > I*+eps: it is neither below
+//     I*-eps nor within I*+eps.
+//
+// The two forms in (b) are different tests under rounding, and the
+// proof needs each: I* < I2-eps lets x* take the slot from a costlier
+// candidate scanned before it, and I2 > I*+eps stops one scanned after
+// it. NoIdleFilter makes every idle zero, so [f, g) is the whole
+// fitting prefix and (b) holds vacuously.
+func (sel *selector) pickIndexed(st *state, now float64, noIdleFilter bool) (int, bool) {
+	if !sel.built {
+		sel.build()
+	}
+	f := sel.firstAlive(0)
+	if !(st.used+sel.memAt[f] <= st.capacity+eps) {
+		st.stats.PickStalls++
+		return -1, true
+	}
+	lo, hi := f+1, len(sel.byComm)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if st.used+sel.memAt[m] <= st.capacity+eps {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	q, g := lo, lo
+	// The least-idle run is often the whole fitting prefix (every task
+	// waits for the processing unit) or a single task; test the first
+	// case, then gallop from f.
+	if idle := sel.idleAt(st, now, f); !noIdleFilter && sel.idleAt(st, now, q-1) > idle {
+		lo, hi = f+1, f+1
+		for step := 1; hi < q && sel.idleAt(st, now, hi) <= idle; step *= 2 {
+			lo, hi = hi+1, min(hi+step, q)
+		}
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if sel.idleAt(st, now, m) <= idle {
+				lo = m + 1
+			} else {
+				hi = m
+			}
+		}
+		g = lo
+		if h := sel.firstAlive(g); h < q {
+			if idle2 := sel.idleAt(st, now, h); !(idle2 > idle+eps && idle < idle2-eps) {
+				return 0, false
+			}
+		}
+	}
+	if sel.firstAlive(f+1) >= g {
+		st.stats.PickIndexed++ // f alone: K* is its key and K2 is absent
+		return sel.byComm[f], true
+	}
+	// The root summarises every alive task; when its winner lies in
+	// [f, g) it wins there too, and its K2 bounds the range's.
+	best := sel.tree[1]
+	if p := sel.commPos[best.idx]; p >= g {
+		best = sel.query(f, g)
+	}
+	if !(best.key > best.key2+eps) {
+		return 0, false
+	}
+	st.stats.PickIndexed++
+	return int(best.idx), true
+}
+
+// idleAt is the idle time the task at byComm position p would induce,
+// in the scan's exact expression.
+func (sel *selector) idleAt(st *state, now float64, p int) float64 {
+	if d := now + sel.commAt[p] - st.tauComp; d > 0 {
+		return d
+	}
+	return 0
+}
+
+// pickNode summarises the alive tasks under a tree node: the largest
+// key, the earliest remaining position (rank) holding it and that
+// task's batch index, and the largest key strictly below it. An empty
+// node has both keys -Inf and rank MaxInt32, so it loses every merge.
+type pickNode struct {
+	key, key2 float64
+	rank, idx int32
+}
+
+var emptyPickNode = pickNode{key: math.Inf(-1), key2: math.Inf(-1), rank: math.MaxInt32, idx: -1}
+
+func mergePick(a, b pickNode) pickNode {
+	if b.key > a.key {
+		a, b = b, a
+	}
+	if b.key < a.key {
+		if b.key > a.key2 {
+			a.key2 = b.key
+		}
+		return a
+	}
+	if b.rank < a.rank {
+		a.rank, a.idx = b.rank, b.idx
+	}
+	if b.key2 > a.key2 {
+		a.key2 = b.key2
+	}
+	return a
+}
+
+// build fills the tree and the alive links from the alive flags. Ranks
+// are the tasks' current positions in the remaining scan order;
+// compaction preserves that order, so they stay comparable for the rest
+// of the batch.
+func (sel *selector) build() {
+	n := len(sel.byComm)
+	sel.tree = growPickNodes(sel.tree, 2*n)
+	sel.next = growInts(sel.next, n+1)
+	for p, i := range sel.byComm {
+		if sel.alive[i] {
+			sel.tree[n+p] = pickNode{key: sel.key[i], key2: math.Inf(-1), rank: int32(sel.remPos[i]), idx: int32(i)}
+			sel.next[p] = p
+		} else {
+			sel.tree[n+p] = emptyPickNode
+			sel.next[p] = p + 1
+		}
+	}
+	sel.next[n] = n
+	for v := n - 1; v > 0; v-- {
+		sel.tree[v] = mergePick(sel.tree[2*v], sel.tree[2*v+1])
+	}
+	sel.built = true
+}
+
+// update empties the tree leaf at byComm position p, whose task was
+// placed, and recomputes its ancestors.
+func (sel *selector) update(p int) {
+	v := p + len(sel.byComm)
+	sel.tree[v] = emptyPickNode
+	for v > 1 {
+		v >>= 1
+		nd := mergePick(sel.tree[2*v], sel.tree[2*v+1])
+		if nd == sel.tree[v] {
+			return // every ancestor is unchanged too
+		}
+		sel.tree[v] = nd
+	}
+}
+
+// query summarises the alive tasks at byComm positions [l, r). The
+// merge is commutative, so the bottom-up walk needs no power-of-two
+// tree.
+func (sel *selector) query(l, r int) pickNode {
+	n := len(sel.byComm)
+	res := emptyPickNode
+	for l, r = l+n, r+n; l < r; l, r = l>>1, r>>1 {
+		if l&1 == 1 {
+			res = mergePick(res, sel.tree[l])
+			l++
+		}
+		if r&1 == 1 {
+			r--
+			res = mergePick(res, sel.tree[r])
+		}
+	}
+	return res
+}
+
+// firstAlive returns the first alive byComm position at or after p, or
+// n if there is none, halving the paths it walks.
+func (sel *selector) firstAlive(p int) int {
+	for sel.next[p] != p {
+		sel.next[p] = sel.next[sel.next[p]]
+		p = sel.next[p]
+	}
+	return p
 }
 
 // keySorter orders batch indices by key descending, index ascending — a
@@ -666,21 +897,32 @@ func (s *keySorter) Less(a, b int) bool {
 }
 func (s *keySorter) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
 
-// memSorter orders batch indices by memory ascending, index ascending.
+// memSorter orders batch indices by memory, then communication time,
+// then index, all ascending.
 type memSorter struct {
-	mem []float64
-	idx []int
+	mem, comm []float64
+	idx       []int
 }
 
 func (s *memSorter) Len() int { return len(s.idx) }
 func (s *memSorter) Less(a, b int) bool {
-	ma, mb := s.mem[s.idx[a]], s.mem[s.idx[b]]
-	if ma != mb {
+	ia, ib := s.idx[a], s.idx[b]
+	if ma, mb := s.mem[ia], s.mem[ib]; ma != mb {
 		return ma < mb
 	}
-	return s.idx[a] < s.idx[b]
+	if ca, cb := s.comm[ia], s.comm[ib]; ca != cb {
+		return ca < cb
+	}
+	return ia < ib
 }
 func (s *memSorter) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
+
+func growPickNodes(s []pickNode, n int) []pickNode {
+	if cap(s) < n {
+		return make([]pickNode, n)
+	}
+	return s[:n]
+}
 
 func growFloats(s []float64, n int) []float64 {
 	if cap(s) < n {
