@@ -575,27 +575,6 @@ func BenchmarkServeColdSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkServeCacheHit measures the same request when it hits the
-// content-addressed cache — the hit-path speedup the daemon exists to
-// provide (codec + digest + LRU lookup, no solve).
-func BenchmarkServeCacheHit(b *testing.B) {
-	h, body := benchServeSetup(b)
-	prime := httptest.NewRecorder()
-	h.ServeHTTP(prime, httptest.NewRequest(http.MethodPost, "/solve?capacity=1.5", strings.NewReader(body)))
-	if prime.Code != http.StatusOK {
-		b.Fatalf("prime status %d: %s", prime.Code, prime.Body.String())
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/solve?capacity=1.5", strings.NewReader(body)))
-		if rec.Code != http.StatusOK || rec.Header().Get("X-Transched-Cache") != "hit" {
-			b.Fatalf("status %d cache %q", rec.Code, rec.Header().Get("X-Transched-Cache"))
-		}
-	}
-}
-
 // BenchmarkStatsSummaries measures the figure post-processing.
 func BenchmarkStatsSummaries(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))

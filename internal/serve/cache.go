@@ -3,6 +3,7 @@ package serve
 import (
 	"container/list"
 	"context"
+	"crypto/sha256"
 	"sync"
 
 	"transched/internal/obs"
@@ -38,6 +39,11 @@ func (s source) hit() bool { return s != srcCompute }
 // body bytes (maxBytes) — a handful of 800-task timelines would
 // otherwise pin unbounded memory while the entry bound read as
 // "plenty of room".
+//
+// In front of the digests sit aliases: hashes of the exact request
+// bytes (rawRequest.alias), each naming a stored entry, so a repeated
+// request finds its body without being parsed. An alias lives and dies
+// with its entry.
 type cache struct {
 	mu         sync.Mutex
 	maxEntries int   // <= 0 disables storage (dedup still applies)
@@ -45,6 +51,7 @@ type cache struct {
 	bytes      int64
 	ll         *list.List
 	items      map[string]*list.Element
+	alias      map[[sha256.Size]byte]*list.Element
 	inflight   map[string]*flight
 
 	// disk, when non-nil, is consulted on memory misses and written
@@ -54,10 +61,17 @@ type cache struct {
 	putErrs *obs.Counter
 }
 
+// maxAliases bounds the aliases one entry keeps. Clients that spell
+// one instance several ways (JSON and raw, query order, timeouts) each
+// get one; past the bound the oldest is dropped and its spelling falls
+// back to the parse.
+const maxAliases = 4
+
 // entry is one stored response.
 type entry struct {
-	key  string
-	body []byte
+	key     string
+	body    []byte
+	aliases [][sha256.Size]byte // oldest first, at most maxAliases
 }
 
 // flight is one in-progress computation; waiters block on done. solve
@@ -77,6 +91,7 @@ func newCache(maxEntries int, maxBytes int64, disk *store.Store, putErrs *obs.Co
 		maxBytes:   maxBytes,
 		ll:         list.New(),
 		items:      make(map[string]*list.Element),
+		alias:      make(map[[sha256.Size]byte]*list.Element),
 		inflight:   make(map[string]*flight),
 		disk:       disk,
 		putErrs:    putErrs,
@@ -106,6 +121,48 @@ func (c *cache) get(key string) ([]byte, bool) {
 		return el.Value.(*entry).body, true
 	}
 	return nil, false
+}
+
+// lookupAlias returns the digest and stored body that alias a names,
+// refreshing the entry's recency as any hit does. rt receives the
+// lookup as a cache span.
+func (c *cache) lookupAlias(a [sha256.Size]byte, rt *obs.ReqTrace) (key string, body []byte, ok bool) {
+	ct := rt.StartStage(obs.StageCache)
+	defer ct.End()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.alias[a]
+	if !ok {
+		return "", nil, false
+	}
+	c.ll.MoveToFront(el)
+	e := el.Value.(*entry)
+	return e.key, e.body, true
+}
+
+// addAlias records a as a name of the entry stored under key. It does
+// nothing when key is not stored (caching disabled, an oversized body,
+// or evicted since), so an alias never outlives or precedes its entry.
+// rt receives the bookkeeping as a cache span.
+func (c *cache) addAlias(a [sha256.Size]byte, key string, rt *obs.ReqTrace) {
+	ct := rt.StartStage(obs.StageCache)
+	defer ct.End()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return
+	}
+	if _, ok := c.alias[a]; ok {
+		return // equal aliases name equal digests: already this entry's
+	}
+	e := el.Value.(*entry)
+	if len(e.aliases) == maxAliases {
+		delete(c.alias, e.aliases[0])
+		e.aliases = append(e.aliases[:0], e.aliases[1:]...)
+	}
+	e.aliases = append(e.aliases, a)
+	c.alias[a] = el
 }
 
 // Do returns the response body for key: from the memory LRU, by joining
@@ -222,6 +279,9 @@ func (c *cache) insertLocked(key string, body []byte) {
 		c.ll.Remove(oldest)
 		e := oldest.Value.(*entry)
 		delete(c.items, e.key)
+		for _, a := range e.aliases {
+			delete(c.alias, a)
+		}
 		c.bytes -= int64(len(e.body))
 	}
 }

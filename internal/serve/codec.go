@@ -19,13 +19,16 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"mime"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 
@@ -111,25 +114,64 @@ type parsedRequest struct {
 	opts   transched.SolveOptions
 }
 
-// decodeRequest reads the envelope from either accepted form.
-func decodeRequest(r *http.Request) (Request, error) {
+// rawRequest is a /solve request as read off the wire: the three
+// things parseRequest looks at, and nothing else.
+type rawRequest struct {
+	json  bool   // the body is a JSON envelope, not a raw trace
+	query string // the URL's raw query, verbatim
+	body  []byte
+}
+
+// readRequest reads the request body once and records the form and
+// the raw query beside it.
+func readRequest(r *http.Request) (rawRequest, error) {
 	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
 	if err != nil {
-		return Request{}, fmt.Errorf("reading request body: %w", err)
+		return rawRequest{}, fmt.Errorf("reading request body: %w", err)
 	}
-	ct := r.Header.Get("Content-Type")
-	if mt, _, err := mime.ParseMediaType(ct); err == nil && mt == "application/json" {
+	mt, _, err := mime.ParseMediaType(r.Header.Get("Content-Type"))
+	return rawRequest{
+		json:  err == nil && mt == "application/json",
+		query: r.URL.RawQuery,
+		body:  body,
+	}, nil
+}
+
+// alias returns the request's cache alias: SHA-256 over the form bit,
+// the length-prefixed raw query and the body. parseRequest is a pure
+// function of exactly these three, so two requests with equal aliases
+// always have equal digests, and a repeated request can be answered
+// from the alias without parsing its trace.
+func (raw rawRequest) alias() [sha256.Size]byte {
+	var head [9]byte
+	if raw.json {
+		head[0] = 1
+	}
+	binary.BigEndian.PutUint64(head[1:], uint64(len(raw.query)))
+	h := sha256.New()
+	h.Write(head[:])
+	io.WriteString(h, raw.query)
+	h.Write(raw.body)
+	var a [sha256.Size]byte
+	h.Sum(a[:0])
+	return a
+}
+
+// decodeRequest reads the envelope from either accepted form.
+func decodeRequest(raw rawRequest) (Request, error) {
+	if raw.json {
 		var req Request
-		dec := json.NewDecoder(bytes.NewReader(body))
+		dec := json.NewDecoder(bytes.NewReader(raw.body))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
 			return Request{}, fmt.Errorf("decoding JSON envelope: %w", err)
 		}
 		return req, nil
 	}
-	// Raw trace body; options ride in the query string.
-	req := Request{Trace: string(body)}
-	q := r.URL.Query()
+	// Raw trace body; options ride in the query string, parsed as
+	// url.URL.Query parses it.
+	req := Request{Trace: string(raw.body)}
+	q, _ := url.ParseQuery(raw.query)
 	if v := q.Get("capacity"); v != "" {
 		c, err := strconv.ParseFloat(v, 64)
 		if err != nil {
@@ -158,8 +200,8 @@ func decodeRequest(r *http.Request) (Request, error) {
 // parseRequest validates the envelope and computes the canonical cache
 // key. Every malformed input dies here, at the codec, before a solver
 // or a cache slot is touched.
-func parseRequest(r *http.Request) (*parsedRequest, error) {
-	req, err := decodeRequest(r)
+func parseRequest(raw rawRequest) (*parsedRequest, error) {
+	req, err := decodeRequest(raw)
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +240,7 @@ func parseRequest(r *http.Request) (*parsedRequest, error) {
 	return p, err
 }
 
-// Digest returns the content address of a solve: FNV-64a over the
+// Digest returns the content address of a solve: SHA-256 over the
 // canonical trace encoding (the codec's own Write output, so the
 // whitespace, comments, directive order and float spelling of the
 // client's encoding all vanish) plus the normalised solve options.
@@ -206,14 +248,14 @@ func parseRequest(r *http.Request) (*parsedRequest, error) {
 // instance and options — the same digest discipline as the golden
 // trace-generation tests.
 func Digest(tr *trace.Trace, opts transched.SolveOptions) (string, error) {
-	h := fnv.New64a()
+	h := sha256.New()
 	if err := trace.Write(h, tr); err != nil {
 		return "", err
 	}
 	// The NUL separator cannot appear in the trace encoding, so the
 	// option block never aliases trace bytes.
 	fmt.Fprintf(h, "\x00opts %.17g %d %s", opts.CapacityMultiplier, opts.BatchSize, opts.Heuristic)
-	return fmt.Sprintf("%016x", h.Sum64()), nil
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // buildResponse shapes a facade result for the wire.

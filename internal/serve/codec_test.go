@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -25,6 +28,15 @@ const messyText = "# transched trace v1\n" +
 	"task a 1.50 0.225e1 1.0\n" +
 	"task\tb   125e-3 4.00 2\n" +
 	"app HF\n"
+
+// parseHTTP reads r the way the handler does and parses it.
+func parseHTTP(r *http.Request) (*parsedRequest, error) {
+	raw, err := readRequest(r)
+	if err != nil {
+		return nil, err
+	}
+	return parseRequest(raw)
+}
 
 func mustRead(t *testing.T, text string) *trace.Trace {
 	t.Helper()
@@ -55,8 +67,8 @@ func TestDigestCanonicalisesEncoding(t *testing.T) {
 	if a != b {
 		t.Errorf("same instance, different digests: %s vs %s", a, b)
 	}
-	if len(a) != 16 {
-		t.Errorf("digest %q is not a 16-hex-digit FNV-64a", a)
+	if len(a) != 64 {
+		t.Errorf("digest %q is not a 64-hex-digit SHA-256", a)
 	}
 
 	// A genuinely different instance (task order is part of the
@@ -93,7 +105,7 @@ func TestDecodeRequestJSONEnvelope(t *testing.T) {
 	body := `{"trace": "# transched trace v1\ntask a 1 2 3\n", "capacity": 2, "heuristic": "oolcmr", "batch": 8, "timeout_ms": 250}`
 	r := httptest.NewRequest("POST", "/solve", strings.NewReader(body))
 	r.Header.Set("Content-Type", "application/json; charset=utf-8")
-	p, err := parseRequest(r)
+	p, err := parseHTTP(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +123,7 @@ func TestDecodeRequestJSONEnvelope(t *testing.T) {
 func TestDecodeRequestRawTraceWithQuery(t *testing.T) {
 	r := httptest.NewRequest("POST", "/solve?capacity=2&heuristic=OOLCMR&batch=4&timeout_ms=100", strings.NewReader(canonicalText))
 	r.Header.Set("Content-Type", "text/plain")
-	p, err := parseRequest(r)
+	p, err := parseHTTP(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +135,7 @@ func TestDecodeRequestRawTraceWithQuery(t *testing.T) {
 	jr := httptest.NewRequest("POST", "/solve", strings.NewReader(
 		`{"trace": `+jsonString(messyText)+`, "capacity": 2, "heuristic": "OOLCMR", "batch": 4}`))
 	jr.Header.Set("Content-Type", "application/json")
-	jp, err := parseRequest(jr)
+	jp, err := parseHTTP(jr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +166,7 @@ func jsonString(s string) string {
 
 func TestParseRequestDefaultsCapacity(t *testing.T) {
 	r := httptest.NewRequest("POST", "/solve", strings.NewReader(canonicalText))
-	p, err := parseRequest(r)
+	p, err := parseHTTP(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +200,55 @@ func TestParseRequestRejects(t *testing.T) {
 		if tc.ct != "" {
 			r.Header.Set("Content-Type", tc.ct)
 		}
-		if _, err := parseRequest(r); err == nil {
+		if _, err := parseHTTP(r); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+}
+
+// zeros is an endless reader of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestReadRequestBoundsBody: a body over maxBodyBytes is refused
+// after the bound, whether or not its length was declared; a body
+// within the bound reads whole.
+func TestReadRequestBoundsBody(t *testing.T) {
+	for _, length := range []int64{maxBodyBytes + 1, -1} {
+		over := httptest.NewRequest("POST", "/solve", io.LimitReader(zeros{}, maxBodyBytes+1))
+		over.ContentLength = length
+		if _, err := readRequest(over); err == nil {
+			t.Errorf("declared length %d, body over the bound: accepted", length)
+		}
+	}
+
+	small := httptest.NewRequest("POST", "/solve", io.MultiReader(strings.NewReader(canonicalText), strings.NewReader(messyText)))
+	small.ContentLength = -1
+	raw, err := readRequest(small)
+	if err != nil || string(raw.body) != canonicalText+messyText {
+		t.Errorf("unknown length within the bound: body %q, err %v", raw.body, err)
+	}
+}
+
+// TestReadRequestIgnoresDeclaredLength: the client controls
+// Content-Length, so a request that declares the largest accepted body
+// and sends a short one must not make the server allocate for the
+// declared size; memory follows the bytes actually received.
+func TestReadRequestIgnoresDeclaredLength(t *testing.T) {
+	r := httptest.NewRequest("POST", "/solve", strings.NewReader(canonicalText))
+	r.ContentLength = maxBodyBytes
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	raw, err := readRequest(r)
+	runtime.ReadMemStats(&after)
+	if err != nil || string(raw.body) != canonicalText {
+		t.Fatalf("body %q, err %v", raw.body, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > maxBodyBytes/4 {
+		t.Errorf("a %d-byte body declared as %d bytes allocated %d bytes", len(canonicalText), int64(maxBodyBytes), got)
 	}
 }

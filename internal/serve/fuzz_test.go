@@ -34,7 +34,7 @@ func fuzzRequest(body []byte, contentType, query string) *http.Request {
 // bodies, content types and query strings — the untrusted input every
 // /solve request feeds it:
 //
-//  1. parseRequest never panics;
+//  1. reading and parsing never panic;
 //  2. an accepted request has normalised options: a positive, finite
 //     capacity multiplier, a non-negative batch size, and a heuristic
 //     that is empty or one of heuristics.Names();
@@ -77,7 +77,7 @@ func FuzzParseRequest(f *testing.F) {
 
 	names := heuristics.Names()
 	f.Fuzz(func(t *testing.T, body []byte, contentType, query string) {
-		p, err := parseRequest(fuzzRequest(body, contentType, query)) // must never panic
+		p, err := parseHTTP(fuzzRequest(body, contentType, query)) // must never panic
 		if err != nil {
 			return
 		}
@@ -99,7 +99,7 @@ func FuzzParseRequest(f *testing.F) {
 		q.Set("capacity", strconv.FormatFloat(p.opts.CapacityMultiplier, 'g', -1, 64))
 		q.Set("batch", strconv.Itoa(p.opts.BatchSize))
 		q.Set("heuristic", p.opts.Heuristic)
-		back, err := parseRequest(fuzzRequest(canon.Bytes(), "text/plain", q.Encode()))
+		back, err := parseHTTP(fuzzRequest(canon.Bytes(), "text/plain", q.Encode()))
 		if err != nil {
 			t.Fatalf("re-posting the canonical encoding failed: %v\nencoded: %q\nquery: %s", err, canon.Bytes(), q.Encode())
 		}

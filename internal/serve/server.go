@@ -116,6 +116,7 @@ type Server struct {
 
 	requests     *obs.Counter
 	hits         *obs.Counter
+	aliasHits    *obs.Counter
 	misses       *obs.Counter
 	storeHits    *obs.Counter
 	storeMisses  *obs.Counter
@@ -139,6 +140,7 @@ func New(cfg Config) *Server {
 		tracer:       cfg.Tracer,
 		requests:     reg.Counter("serve_requests_total"),
 		hits:         reg.Counter("serve_cache_hits_total"),
+		aliasHits:    reg.Counter("serve_cache_alias_hits_total"),
 		misses:       reg.Counter("serve_cache_misses_total"),
 		storeHits:    reg.Counter("serve_store_hits_total"),
 		storeMisses:  reg.Counter("serve_store_misses_total"),
@@ -328,17 +330,34 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	rt := s.tracer.Start("solve", parent)
 	defer rt.Finish()
 
-	// The decode span covers everything from raw bytes to a dispatchable
-	// request: parsing, the digest, and the deadline setup. Ending it
-	// only after WithTimeout keeps the stage-accounting identity honest
-	// on sub-millisecond requests, where even timer allocation shows up.
+	// The decode span first covers reading the body and hashing it into
+	// the request's alias. A repeated request is answered from the
+	// alias: no parse, no digest, no deadline.
 	dt := rt.StartStage(obs.StageDecode)
-	p, err := parseRequest(r)
+	raw, err := readRequest(r)
 	if err != nil {
 		dt.End()
-		s.errs.Inc()
-		rt.SetStatus(http.StatusBadRequest)
-		s.writeJSONError(w, http.StatusBadRequest, err.Error())
+		s.badRequest(w, rt, err)
+		return
+	}
+	alias := raw.alias()
+	dt.End()
+	if digest, body, ok := s.cache.lookupAlias(alias, rt); ok {
+		s.aliasHits.Inc()
+		rt.SetDigest(digest)
+		s.respond(w, rt, start, nil, digest, body, srcMemory)
+		return
+	}
+
+	// On an alias miss the decode span goes on to cover the parse, the
+	// digest and the deadline setup. Ending it only after WithTimeout
+	// keeps the stage-accounting identity honest on sub-millisecond
+	// requests, where even timer allocation shows up.
+	dt = rt.StartStage(obs.StageDecode)
+	p, err := parseRequest(raw)
+	if err != nil {
+		dt.End()
+		s.badRequest(w, rt, err)
 		return
 	}
 	rt.SetDigest(p.digest)
@@ -389,7 +408,21 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeJSONError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
+	s.cache.addAlias(alias, p.digest, rt)
+	s.respond(w, rt, start, p, p.digest, body, src)
+}
 
+// badRequest answers a request the codec rejected.
+func (s *Server) badRequest(w http.ResponseWriter, rt *obs.ReqTrace, err error) {
+	s.errs.Inc()
+	rt.SetStatus(http.StatusBadRequest)
+	s.writeJSONError(w, http.StatusBadRequest, err.Error())
+}
+
+// respond writes a 200 with body and does the hit/miss accounting. p
+// is the parsed request, nil on an alias hit; it is read only to log a
+// computed solve.
+func (s *Server) respond(w http.ResponseWriter, rt *obs.ReqTrace, start time.Time, p *parsedRequest, digest string, body []byte, src source) {
 	// The closing encode slice: hit/miss accounting plus response
 	// composition (headers, the timing render) accumulate onto the
 	// encode stage, so the span's tail is attributed rather than lost.
@@ -406,7 +439,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 		if s.cfg.Logger != nil {
 			logAttrs := []any{
-				"digest", p.digest, "app", p.trace.App, "tasks", len(p.trace.Tasks),
+				"digest", digest, "app", p.trace.App, "tasks", len(p.trace.Tasks),
 				"heuristic", p.opts.Heuristic, "batch", p.opts.BatchSize,
 				"bytes", len(body), "seconds", time.Since(start).Seconds(),
 			}
@@ -418,7 +451,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Transched-Cache", cacheHeader(src.hit()))
-	w.Header().Set("X-Transched-Digest", p.digest)
+	w.Header().Set("X-Transched-Digest", digest)
 	if rt != nil {
 		rt.SetStatus(http.StatusOK)
 		rt.SetCacheSource(srcName(src))
@@ -428,8 +461,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// The span closes once the response is composed: the socket write
 	// and gauge refreshes below are not request processing, and leaving
 	// them inside the span breaks the stage-accounting identity (stage
-	// sums >= 95% of the span). The deferred Finish above stays as the
-	// error-path net — Finish is idempotent.
+	// sums >= 95% of the span). The deferred Finish in handleSolve stays
+	// as the error-path net — Finish is idempotent.
 	et.End()
 	rt.Finish()
 	w.Write(body)

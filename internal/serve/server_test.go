@@ -63,8 +63,17 @@ func referenceBody(t testing.TB, traceText string, opts transched.SolveOptions) 
 // postRaw drives the handler with a raw-trace POST and returns the
 // recorder.
 func postRaw(h http.Handler, target, body string) *httptest.ResponseRecorder {
+	return post(h, target, "", body)
+}
+
+// post drives the handler with one POST of body under contentType
+// (none when empty).
+func post(h http.Handler, target, contentType, body string) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodPost, target, strings.NewReader(body))
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
 	h.ServeHTTP(rec, req)
 	return rec
 }
@@ -87,7 +96,7 @@ func TestServeSolveMatchesSerialResult(t *testing.T) {
 	if got := rec.Header().Get("X-Transched-Cache"); got != "miss" {
 		t.Errorf("first request cache header = %q", got)
 	}
-	if got := rec.Header().Get("X-Transched-Digest"); len(got) != 16 {
+	if got := rec.Header().Get("X-Transched-Digest"); len(got) != 64 {
 		t.Errorf("digest header = %q", got)
 	}
 

@@ -87,6 +87,21 @@ func TestServeTraceHeadersOnResponse(t *testing.T) {
 	if got.Span == parent.Span {
 		t.Error("continued request reused the parent span ID")
 	}
+	// The repeat is an alias hit: it reads and hashes the body (decode)
+	// and finds the entry (cache), and solves nothing. (The encode slice
+	// is still open while the header renders.)
+	timing = rec2.Header().Get("X-Transched-Timing")
+	for _, want := range []string{"decode;dur=", "cache;dur=", "total;dur="} {
+		if !strings.Contains(timing, want) {
+			t.Errorf("alias hit timing header %q misses %s", timing, want)
+		}
+	}
+	if strings.Contains(timing, "solve;dur=") {
+		t.Errorf("alias hit timing header %q shows a solve", timing)
+	}
+	if got := cfg.Registry.Counter("serve_cache_alias_hits_total").Value(); got != 1 {
+		t.Errorf("alias hits = %d, want 1", got)
+	}
 
 	rec3 := httptest.NewRecorder()
 	h.ServeHTTP(rec3, httptest.NewRequest(http.MethodGet, "/debug/requests?format=json", nil))
@@ -98,6 +113,9 @@ func TestServeTraceHeadersOnResponse(t *testing.T) {
 	for _, sum := range snap.Recent {
 		if sum.Parent == parent.Span.String() && sum.Trace == parent.Trace.String() {
 			foundParent = true
+			if sum.Digest != rec.Header().Get("X-Transched-Digest") || sum.Cache != "memory" || sum.Status != http.StatusOK {
+				t.Errorf("alias hit recorded as digest %q, cache %q, status %d", sum.Digest, sum.Cache, sum.Status)
+			}
 		}
 	}
 	if !foundParent {

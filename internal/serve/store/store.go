@@ -280,9 +280,10 @@ func (s *Store) blobPath(key string) string {
 	return filepath.Join(s.dir, key+blobSuffix)
 }
 
-// validKey accepts only lowercase-hex digests (the serve codec's
-// FNV-64a content addresses), which keeps blob filenames flat and free
-// of path metacharacters regardless of what a caller passes.
+// validKey accepts only lowercase-hex digests of at most 64 digits (the
+// serve codec's SHA-256 content addresses), which keeps blob filenames
+// flat and free of path metacharacters regardless of what a caller
+// passes.
 func validKey(key string) bool {
 	if len(key) == 0 || len(key) > 64 {
 		return false
